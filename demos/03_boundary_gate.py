@@ -37,4 +37,4 @@ print("forced data at b0_minus=0.5: b2_plus=%g  v_i(0)=%s"
 
 # first Taylor coefficients of the bootstrapped solution
 series = series_bootstrap(ivp, order=6, check=rep)
-print("\nu_1(t) series coefficients:", np.round(series[0].coefficients, 8))
+print("\nu_1(t) series coefficients:", np.round(series[0].c, 8))

@@ -6,6 +6,7 @@ coefficients (`structures`), the singular initial value machinery
 battery (`verify`) and a command line front end (`cli`).
 """
 
+from ._series import PowerSeries
 from .algebra import (BASIS_NAMES, CYCLIC, ConnectionCoeffs, LieForm,
                       Su2Vec, bracket, constraint_value, curvature_direct,
                       curvature_lemma2, exterior_derivative,
@@ -19,7 +20,7 @@ from .singular_ivp import (EventSpec, IntegrationError, MalgrangeReport,
                            blowup_event, integrate, malgrange_check,
                            region_exit_event, series_bootstrap,
                            solve_boundary, solve_singular)
-from .structures import (CYC0, SeriesR, StructureData, b2_from_data,
+from .structures import (CYC0, StructureData, b2_from_data,
                          coefficient_functions, load_structure,
                          make_bryant_salamon, make_linear_example,
                          make_su23_structure, save_structure,
@@ -33,7 +34,7 @@ from .verify import (Report, bubbling_report, convergence_report,
 __all__ = [
     "BASIS_NAMES", "CYC0", "CYCLIC", "ConnectionCoeffs", "EventSpec",
     "InstantonSolution", "IntegrationError", "LieForm", "MalgrangeReport",
-    "PreconditionError", "Report", "SeriesR", "SingularIVP",
+    "PowerSeries", "PreconditionError", "Report", "SingularIVP",
     "StructureData", "Su2Vec", "Trajectory", "abelian_connection",
     "b2_from_data", "blowup_event", "bracket", "bubbling_report",
     "coefficient_functions", "connection_at", "constraint_value",

@@ -18,12 +18,19 @@ from fractions import Fraction
 class PowerSeries:
     """Taylor polynomial with truncation-order bookkeeping.
 
-    ``PowerSeries([a, b, c])`` represents a + b t + c t^2 + O(t^3).
+    ``PowerSeries([a, b, c])`` represents a + b t + c t^2 + O(t^3);
+    ``ps[k]`` is the t^k coefficient and ``ps(t)`` evaluates by Horner.
+
+    A declared ``parity`` ("even" or "odd") makes the coefficients floats
+    that must respect it: violations above a relative 1e-9 are rejected,
+    smaller ones are zeroed.  Arithmetic results carry no parity.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "parity")
 
-    def __init__(self, coeffs, order=None):
+    def __init__(self, coeffs, order=None, parity="none"):
+        if parity not in ("even", "odd", "none"):
+            raise ValueError("parity must be even, odd or none")
         if isinstance(coeffs, PowerSeries):
             coeffs = coeffs.c
         c = list(coeffs)
@@ -36,7 +43,17 @@ class PowerSeries:
                 c = c[: order + 1]
             else:
                 c = c + [0 * c[0]] * (order + 1 - len(c))
+        if parity != "none":
+            c = [float(x) for x in c]
+            scale = max(abs(x) for x in c) or 1.0
+            bad = 1 if parity == "even" else 0
+            for k in range(bad, len(c), 2):
+                if abs(c[k]) > 1e-9 * scale:
+                    raise ValueError(
+                        "coefficient %d violates %s parity" % (k, parity))
+                c[k] = 0.0
         self.c = c
+        self.parity = parity
 
     @property
     def order(self):
@@ -154,11 +171,6 @@ class PowerSeries:
                 raise ValueError("coefficient of t^%d is nonzero" % k)
         return PowerSeries(self.c[m:])
 
-    def shift_up(self, m):
-        """Multiply by t^m."""
-        z = 0 * self.c[0]
-        return PowerSeries([z] * m + self.c)
-
     # -- analytic functions (composition with Taylor of the outer map) -----
 
     def exp(self):
@@ -173,19 +185,6 @@ class PowerSeries:
             term = term * u / k
             out = out + term
         return f0 * out
-
-    def log(self):
-        import math
-
-        if self.c[0] <= 0:
-            raise ValueError("log needs a positive constant term")
-        u = self / self.c[0] - 1
-        out = PowerSeries([0.0], order=self.order)
-        term = PowerSeries([1.0], order=self.order)
-        for k in range(1, self.order + 1):
-            term = term * u
-            out = out + term * ((-1) ** (k + 1) / k)
-        return out + math.log(float(self.c[0]))
 
     def sqrt(self):
         """Square root via the binomial series about the constant term."""
@@ -209,7 +208,10 @@ class PowerSeries:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
+        """Value at a number t, or the composition with a series t."""
         out = self.c[-1]
+        if isinstance(t, PowerSeries):
+            out = ps_const(out, t.order)
         for a in reversed(self.c[:-1]):
             out = out * t + a
         return out

@@ -22,11 +22,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ._series import PowerSeries
 from .instantons import (InstantonSolution, _abelian_residual,
                          abelian_connection, flat_pid, residual_pointwise,
                          solution_to_csv, theta_x1, theta_y0, theta_zero)
 from .singular_ivp import IntegrationError, PreconditionError
-from .structures import (SeriesR, coefficient_functions, load_structure,
+from .structures import (coefficient_functions, load_structure,
                          make_bryant_salamon, make_linear_example,
                          make_su23_structure, save_structure)
 from .verify import default_battery, report_to_json, reports_to_csv
@@ -37,8 +38,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _SECTION_KEYS = {
-    "structure": {"kind", "r_max", "grid", "b0", "a3", "a5", "t_max",
-                  "path"},
+    "structure": {"kind", "r_max", "b0", "a3", "a5", "t_max", "path"},
     "family": {"kind", "x1", "y0", "sign", "t0", "aplus", "aminus",
                "param", "values", "lo", "hi"},
     "solver": {"eps", "order", "tol", "t_end"},
@@ -158,15 +158,14 @@ def build_structure(block):
                           % (kind, ", ".join(_STRUCTURE_KINDS)))
     try:
         if kind == "bryant_salamon":
-            return make_bryant_salamon(r_max=float(block.get("r_max", 60.0)),
-                                       grid=int(block.get("grid", 600)))
+            return make_bryant_salamon(r_max=float(block.get("r_max", 60.0)))
         if kind == "linear":
             return make_linear_example(float(block.get("b0", 1.0)),
                                        t_max=float(block.get("t_max", 1e6)))
         if kind == "su23":
             a3 = float(block.get("a3", 0.0))
             a5 = float(block.get("a5", 0.0))
-            ser = SeriesR([0.0, 0.5, 0.0, a3, 0.0, a5], parity="odd")
+            ser = PowerSeries([0.0, 0.5, 0.0, a3, 0.0, a5], parity="odd")
 
             def a1(t):
                 return t * (0.5 + t * t * (a3 + a5 * t * t))

@@ -32,13 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._series import PowerSeries, ps_var
+from ._series import ps_var
 from .algebra import ConnectionCoeffs
-from .singular_ivp import (EventSpec, SingularIVP, Trajectory, blowup_event,
-                           integrate, malgrange_check, series_bootstrap,
+# malgrange_check and series_bootstrap stay importable from this module:
+# perfbench/tracing.py patches the layer entry points here by name
+from .singular_ivp import (EventSpec, SingularIVP, blowup_event, integrate,
+                           malgrange_check, series_bootstrap, series_handoff,
                            solve_boundary)
-from .structures import (CYC0, SeriesR, StructureData, _horner,
-                         coefficient_functions)
+from .structures import CYC0, coefficient_functions
 
 BLOWUP_THRESHOLD = 1e8
 SOLUTION_SERIES_CUTOFF = 1e-3
@@ -117,7 +118,7 @@ def _eq_data(s, t_need):
         raise RuntimeError("quadrature for (E, Q) failed: %s" % sol.message)
     dense = sol.sol
 
-    phi_ps = cf.phi_series[0].as_power_series()
+    phi_ps = cf.phi_series[0]
     E_ps = ps_var(phi_ps.order + 1) * (-(phi_ps.integ())).exp()
     Q_ps = E_ps.integ()
 
@@ -148,20 +149,20 @@ def _theta_core(s, x_eval, dx_eval, A1x_ps, family, params):
         x = x_eval(t)
         return np.array([x, x, x, 0.0, 0.0, 0.0])
 
-    A_ps = s.A_series[0].as_power_series()
+    dA1x_ps = A1x_ps.deriv()
 
     def A1x(t):
         if t < SOLUTION_SERIES_CUTOFF:
-            return _horner(list(A1x_ps), t)
+            return A1x_ps(t)
         return s.A[0](t) * x_eval(t)
 
     def dA1x(t):
         if t < SOLUTION_SERIES_CUTOFF:
-            return _horner(list(A1x_ps.deriv()), t)
+            return dA1x_ps(t)
         return s.dA[0](t) * x_eval(t) + s.A[0](t) * dx_eval(t)
 
     extras = {"x": x_eval, "dx": dx_eval, "A1x": A1x, "dA1x": dA1x,
-              "A1x_series": A1x_ps, "A_series": A_ps}
+              "A1x_series": A1x_ps, "A_series": s.A_series[0]}
     return InstantonSolution(family=family, params=params, bundle="P1"
                              if family == "theta_x1" else "Pid",
                              structure=s, f6=f6, valid=(0.0, s.t_max),
@@ -176,17 +177,20 @@ def theta_x1(s, x1):
     """
     _require_symmetric(s)
     x1 = float(x1)
+    if not math.isfinite(x1):
+        raise ValueError("x1 must be finite")
     if x1 < 0:
         raise ValueError("x1 must be >= 0")
     cf = coefficient_functions(s)
     eq = _eq_data(s, min(s.t_max, 12.0))
     x_ps = (eq["E_ps"] * x1) / (eq["Q_ps"] * x1 + 1.0)
+    dx_ps = x_ps.deriv()
 
     def x_eval(t):
         if t < 0:
             raise ValueError("t must be >= 0")
         if t < SOLUTION_SERIES_CUTOFF:
-            return _horner(list(x_ps), t)
+            return x_ps(t)
         eq = _eq_data(s, t)
         return x1 * eq["E"](t) / (1.0 + x1 * eq["Q"](t))
 
@@ -194,11 +198,11 @@ def theta_x1(s, x1):
         if t <= 0:
             return x1
         if t < SOLUTION_SERIES_CUTOFF:
-            return _horner(list(x_ps.deriv()), t)
+            return dx_ps(t)
         x = x_eval(t)
         return cf.scalar_F(t) * x - x * x
 
-    A1x_ps = s.A_series[0].as_power_series() * x_ps
+    A1x_ps = s.A_series[0] * x_ps
     return _theta_core(s, x_eval, dx_eval, A1x_ps, "theta_x1", {"x1": x1})
 
 
@@ -218,7 +222,7 @@ def theta_zero(s):
         if t <= 0:
             raise ValueError("theta_zero profile diverges at t = 0")
         if t < SOLUTION_SERIES_CUTOFF:
-            return _horner(list(num_ps), t) / (_horner(list(den_ps), t) * t)
+            return num_ps(t) / (den_ps(t) * t)
         eq = _eq_data(s, t)
         return eq["E"](t) / eq["Q"](t)
 
@@ -228,8 +232,7 @@ def theta_zero(s):
         x = x_eval(t)
         return cf.scalar_F(t) * x - x * x
 
-    A1x_ps = (s.A_series[0].as_power_series()
-              * eq["E_ps"]).shift_down(2) / den_ps
+    A1x_ps = (s.A_series[0] * eq["E_ps"]).shift_down(2) / den_ps
     return _theta_core(s, x_eval, dx_eval, A1x_ps, "theta_zero", {})
 
 
@@ -237,23 +240,10 @@ def theta_zero(s):
 # Scalar reductions of the symmetric case
 
 
-def su23_rhs(s):
-    """RHS of the scalar pair x' = (1/t - phi) x + y^2 - x^2,
-    y' = -(4/t + gamma) y + 2 x y on a symmetric structure."""
-    _require_symmetric(s)
-    cf = coefficient_functions(s)
-    phi, gamma = cf.phi[0], cf.gamma[0]
-
-    def rhs(t, z):
-        x, y = z[0], z[1]
-        return [(1.0 / t - phi(t)) * x + y * y - x * x,
-                -(4.0 / t + gamma(t)) * y + 2.0 * x * y]
-
-    return rhs
-
-
 def su23_rhs_pm(s):
-    """Same pair in the bounded coordinates (A_1 x, B_1 y)."""
+    """RHS of the scalar pair x' = (1/t - phi) x + y^2 - x^2,
+    y' = -(4/t + gamma) y + 2 x y in the bounded coordinates
+    (A_1 x, B_1 y) on a symmetric structure."""
     _require_symmetric(s)
     A1, B1 = s.A[0], s.B[0]
 
@@ -325,37 +315,36 @@ def su23_pid_ivp(s, y0):
                        jacobian=jac, meta={"y0": y0})
 
 
-def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13,
-             region_events="auto"):
+def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13):
     """Two-parameter extension member with f_i^- -> y0 at the origin.
 
     Bootstraps the reduced (u, v) problem on [0, eps], then continues the
     bounded pair (A_1 x, B_1 y) adaptively with blow-up (and, strictly
     inside the proven region 0 < y0 < 1/b0, region-exit) events.  The
-    trajectory attribute holds the bounded-coordinate continuation.
+    trajectory attribute holds the bounded-coordinate continuation;
+    extras["handoff_mismatch"] is the series_handoff defect at eps.
     """
     _require_symmetric(s)
     y0 = float(y0)
-    ivp = su23_pid_ivp(s, y0)
-    rep = malgrange_check(ivp)
-    series = series_bootstrap(ivp, order=order, check=rep)
-    upoly = series[0].coefficients
-    vpoly = series[1].coefficients
     A1, B1 = s.A[0], s.B[0]
     hi = min(float(t_end), s.t_max)
     if not eps < hi:
         raise ValueError("need eps < t_end <= t_max")
+    ivp = su23_pid_ivp(s, y0)
+    rep, series, (u_eps, v_eps), mismatch = series_handoff(ivp, eps,
+                                                           order=order)
+    u_ps, v_ps = series
 
     def x_small(t):
-        return 2.0 / t + t * _horner(upoly, t)
+        return 2.0 / t + t * u_ps(t)
 
     def y_small(t):
-        return y0 + t * t * _horner(vpoly, t)
+        return y0 + t * t * v_ps(t)
 
-    state0 = [A1(eps) * x_small(eps), B1(eps) * y_small(eps)]
+    state0 = [A1(eps) * (2.0 / eps + eps * u_eps),
+              B1(eps) * (y0 + eps * eps * v_eps)]
     events = [blowup_event(BLOWUP_THRESHOLD)]
-    watch_region = (region_events is True
-                    or (region_events == "auto" and 0.0 < y0 < 1.0 / s.b0))
+    watch_region = 0.0 < y0 < 1.0 / s.b0
     if watch_region:
         events += [
             EventSpec("region-exit", lambda t, z: z[0]),
@@ -381,11 +370,8 @@ def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13,
     params = {"y0": y0}
     if abs(y0) > 1.0 / s.b0 + 1e-12:
         params["outside_proven_family"] = True
-    extras = {"ivp": ivp, "check": rep, "u_series": series[0],
-              "v_series": series[1], "eps": eps,
-              "pm": lambda t: (np.array([A1(t) * x_small(t),
-                                         B1(t) * y_small(t)])
-                               if t <= eps else traj(t)),
+    extras = {"ivp": ivp, "check": rep, "u_series": u_ps,
+              "v_series": v_ps, "eps": eps, "handoff_mismatch": mismatch,
               "watched_region": watch_region}
     return InstantonSolution(family="theta_y0", params=params, bundle="Pid",
                              structure=s, f6=f6, trajectory=traj,
@@ -394,22 +380,6 @@ def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13,
 
 # ---------------------------------------------------------------------------
 # Six-dimensional singular problems on both bundles
-
-
-def su22_rhs(s):
-    """RHS of the full six-profile system on any structure."""
-    cf = coefficient_functions(s)
-
-    def rhs(t, f):
-        out = np.empty(6)
-        for i, j, k in CYC0:
-            out[i] = (-cf.F[i](t) * f[i] + f[3 + j] * f[3 + k]
-                      - f[j] * f[k])
-            out[3 + i] = (-cf.G[i](t) * f[3 + i] + f[3 + j] * f[k]
-                          + f[j] * f[3 + k])
-        return out
-
-    return rhs
 
 
 def p1_ivp(s, f1=(1.0, 1.0, 1.0)):

@@ -4,7 +4,8 @@ The systems solved here have a regular singular point at t = 0: the right
 hand side is M_{-1}(y)/t + M(t, y) with M_{-1} vanishing at the initial
 value.  Solvability is gated on the classical condition that no eigenvalue
 of d_{y0} M_{-1} is a positive integer; the unique formal solution is then
-produced order by order (series_bootstrap) and continued by an adaptive
+produced order by order (series_bootstrap), evaluated at the handoff point
+t = eps (series_handoff) and continued from there by an adaptive
 integrator away from the singularity (solve_singular).
 
 M_{-1} and M must be written with generic arithmetic on the components of
@@ -20,7 +21,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ._series import PowerSeries, ps_var
-from .structures import SeriesR, _horner
 
 
 class PreconditionError(ValueError):
@@ -136,7 +136,24 @@ def series_bootstrap(ivp, order=8, check=None):
         rhs = np.array([_coeff(m1[i], k) + _coeff(mm[i], k - 1)
                         for i in range(dim)], dtype=float)
         coeffs[:, k] = np.linalg.solve(k * I - J, rhs)
-    return [SeriesR(coeffs[i], "none") for i in range(dim)]
+    return [PowerSeries(coeffs[i].tolist()) for i in range(dim)]
+
+
+def series_handoff(ivp, eps, order=8):
+    """Gate, series bootstrap and the state at the handoff point eps.
+
+    Returns (check, series, y_eps, mismatch).  mismatch is the sup defect
+    between the series derivative and the vector field at eps, which
+    measures the series truncation error there.
+    """
+    rep = malgrange_check(ivp)
+    series = series_bootstrap(ivp, order=order, check=rep)
+    y_eps = np.array([p(eps) for p in series])
+    field_eps = (np.asarray(ivp.M_minus1(y_eps), dtype=float) / eps
+                 + np.asarray(ivp.M(eps, y_eps), dtype=float))
+    series_deriv = np.array([p.deriv()(eps) for p in series])
+    mismatch = float(np.max(np.abs(field_eps - series_deriv)))
+    return rep, series, y_eps, mismatch
 
 
 def solve_boundary(M_minus1, seed, jacobian=None, tol=1e-12, max_iter=60):
@@ -271,23 +288,13 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=(),
     """Series on [0, eps], adaptive continuation on [eps, t_end].
 
     The handoff is continuous by construction; meta["handoff_mismatch"]
-    records the defect between the series derivative and the vector field
-    at eps, which measures the series truncation error there.
+    is the series_handoff defect at eps.
     """
     if not 0.0 < eps < t_end:
         raise ValueError("need 0 < eps < t_end")
-    rep = malgrange_check(ivp)
-    series = series_bootstrap(ivp, order=order, check=rep)
-    polys = [sr.coefficients for sr in series]
+    rep, series, y_eps, mismatch = series_handoff(ivp, eps, order=order)
     ts = np.concatenate([[0.0], np.geomspace(eps / 32.0, eps, n_series - 1)])
-    ys = np.array([[_horner(p, t) for t in ts] for p in polys])
-    y_eps = ys[:, -1].copy()
-
-    dpolys = [sr.deriv().coefficients for sr in series]
-    field_eps = (np.asarray(ivp.M_minus1(y_eps), dtype=float) / eps
-                 + np.asarray(ivp.M(eps, y_eps), dtype=float))
-    series_deriv = np.array([_horner(p, eps) for p in dpolys])
-    mismatch = float(np.max(np.abs(field_eps - series_deriv)))
+    ys = np.array([[p(t) for t in ts] for p in series])
 
     def rhs(t, y):
         return (np.asarray(ivp.M_minus1(y), dtype=float) / t
@@ -297,9 +304,9 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=(),
                      label=ivp.label)
     dense = traj.meta.get("interp")
 
-    def interp(t, polys=polys, eps=eps, dense=dense):
+    def interp(t, series=series, eps=eps, dense=dense):
         if t <= eps:
-            return [_horner(p, t) for p in polys]
+            return [p(t) for p in series]
         return dense(t)
 
     t_all = np.concatenate([ts, traj.t[1:]])

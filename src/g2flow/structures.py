@@ -38,73 +38,6 @@ DEFLATION_CUTOFF = 0.18
 CYC0 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _horner(coeffs, t):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * t + c
-    return acc
-
-
-class SeriesR:
-    """Taylor data at t = 0 with a declared parity.
-
-    coefficients[k] is the t^k coefficient; the stated parity must be
-    respected by the stored values (violations above a relative 1e-9
-    are rejected, smaller ones are zeroed).
-    """
-
-    __slots__ = ("parity", "coefficients")
-
-    def __init__(self, coefficients, parity="none"):
-        if parity not in ("even", "odd", "none"):
-            raise ValueError("parity must be even, odd or none")
-        c = [float(x) for x in coefficients]
-        if not c:
-            raise ValueError("empty coefficient list")
-        if parity != "none":
-            scale = max(abs(x) for x in c) or 1.0
-            bad = 1 if parity == "even" else 0
-            for k in range(len(c)):
-                if k % 2 == bad:
-                    if abs(c[k]) > 1e-9 * scale:
-                        raise ValueError(
-                            "coefficient %d violates %s parity" % (k, parity))
-                    c[k] = 0.0
-        self.parity = parity
-        self.coefficients = tuple(c)
-
-    @property
-    def order(self):
-        return len(self.coefficients) - 1
-
-    def coefficient(self, k):
-        if 0 <= k <= self.order:
-            return self.coefficients[k]
-        return 0.0
-
-    def __call__(self, t):
-        return _horner(self.coefficients, float(t))
-
-    def deriv(self):
-        c = self.coefficients
-        dc = [k * c[k] for k in range(1, len(c))] or [0.0]
-        flip = {"even": "odd", "odd": "even", "none": "none"}
-        return SeriesR(dc, parity=flip[self.parity])
-
-    def as_power_series(self, order=None):
-        c = list(self.coefficients)
-        if order is not None:
-            c = (c + [0.0] * (order + 1))[:order + 1]
-        return PowerSeries(c)
-
-    @staticmethod
-    def from_power_series(ps, parity="none"):
-        return SeriesR(list(ps), parity=parity)
-
-    def __repr__(self):
-        return "SeriesR(order=%d, parity=%s)" % (self.order, self.parity)
-
-
 class StructureData:
     """Profile data: evaluators plus Taylor data for (A_i, B_i).
 
@@ -130,24 +63,19 @@ class StructureData:
         self.symmetric = bool(symmetric)
         self._cache = {}
         for s in self.A_series:
-            if abs(s.coefficient(1) - 0.5) > 1e-9:
+            if abs(s[1] - 0.5) > 1e-9:
                 raise ValueError("A_i series must start t/2")
         for s in self.B_series:
-            if abs(s.coefficient(0) - b0) > 1e-9 * max(1.0, b0):
+            if abs(s[0] - b0) > 1e-9 * max(1.0, b0):
                 raise ValueError("B_i series must start at b0")
 
     @property
     def a3(self):
-        return tuple(s.coefficient(3) for s in self.A_series)
+        return tuple(s[3] for s in self.A_series)
 
     @property
     def a5(self):
-        return tuple(s.coefficient(5) for s in self.A_series)
-
-    def check_t(self, t):
-        if t < 0 or t > self.t_max * (1 + 1e-9):
-            raise ValueError("t=%g outside [0, %g]" % (t, self.t_max))
-        return float(t)
+        return tuple(s[5] for s in self.A_series)
 
     def __repr__(self):
         return "StructureData(%r, b0=%g, t_max=%g)" % (
@@ -193,7 +121,7 @@ def _bs_series(order):
     return A, B
 
 
-def make_bryant_salamon(r_max=60.0, grid=600):
+def make_bryant_salamon(r_max=60.0):
     """Bryant-Salamon structure A_1 = (r/3) sqrt(1 - r^-3), B_1 = r/sqrt(3).
 
     The radial coordinate satisfies t(r) = int_1^r ds/sqrt(1-s^-3); with
@@ -246,13 +174,11 @@ def make_bryant_salamon(r_max=60.0, grid=600):
         return (w * _INV_SQRT3) * math.sqrt(
             (3.0 + x * (3.0 + x)) / (1.0 + x) ** 3)
 
-    As = SeriesR.from_power_series(A_ps, "odd")
-    Bs = SeriesR.from_power_series(B_ps, "even")
-    s = StructureData("bryant-salamon", (A1,) * 3, (B1,) * 3,
-                      (dA1,) * 3, (dB1,) * 3, (As,) * 3, (Bs,) * 3,
-                      b0=b0, b2=B_ps[2], t_max=t_max, symmetric=True)
-    s._cache["export_grid"] = int(grid)
-    return s
+    As = PowerSeries(A_ps, parity="odd")
+    Bs = PowerSeries(B_ps, parity="even")
+    return StructureData("bryant-salamon", (A1,) * 3, (B1,) * 3,
+                         (dA1,) * 3, (dB1,) * 3, (As,) * 3, (Bs,) * 3,
+                         b0=b0, b2=B_ps[2], t_max=t_max, symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +206,8 @@ def make_linear_example(b0, t_max=1e6):
     A_ps = ps_var(SERIES_ORDER) * 0.5
     B_ps = (ps_var(SERIES_ORDER) ** 2 * 0.25 + b0 * b0).sqrt()
     s = StructureData("linear", (A1,) * 3, (B1,) * 3, (dA1,) * 3, (dB1,) * 3,
-                      (SeriesR.from_power_series(A_ps, "odd"),) * 3,
-                      (SeriesR.from_power_series(B_ps, "even"),) * 3,
+                      (PowerSeries(A_ps, parity="odd"),) * 3,
+                      (PowerSeries(B_ps, parity="even"),) * 3,
                       b0=b0, b2=B_ps[2], t_max=t_max, symmetric=True)
     return s
 
@@ -291,7 +217,8 @@ def make_linear_example(b0, t_max=1e6):
 
 
 def _unpack_profile(A1):
-    """Accept a StructureData, or a (callable, SeriesR[, dcallable]) tuple."""
+    """Accept a StructureData, or a (callable, PowerSeries[, dcallable])
+    tuple."""
     if isinstance(A1, StructureData):
         return A1.A[0], A1.A_series[0], A1.dA[0], A1.t_max
     if isinstance(A1, tuple):
@@ -299,10 +226,11 @@ def _unpack_profile(A1):
         series = A1[1]
         da1 = A1[2] if len(A1) > 2 else None
         return a1, series, da1, math.inf
-    raise TypeError("A1 must be a StructureData or (callable, SeriesR) pair")
+    raise TypeError(
+        "A1 must be a StructureData or (callable, PowerSeries) pair")
 
 
-def make_su23_structure(A1, b0, t_max=None, grid=600, label="su23"):
+def make_su23_structure(A1, b0, t_max=None, label="su23"):
     """Build B_1 = B_2 = B_3 from a symmetric A_1 profile and B_1(0) = b0.
 
     Solves P' = P/A_1 + A_1^3 for P = A_1^2 B_1^2 with P ~ (b0^2/4) t^2,
@@ -314,7 +242,7 @@ def make_su23_structure(A1, b0, t_max=None, grid=600, label="su23"):
     if b0 <= 0:
         raise ValueError("b0 must be positive")
     a1, a1_series, da1, t_cap = _unpack_profile(A1)
-    if a1_series.parity != "odd" or abs(a1_series.coefficient(1) - 0.5) > 1e-9:
+    if a1_series.parity != "odd" or abs(a1_series[1] - 0.5) > 1e-9:
         raise ValueError("A1 series must be odd with leading coefficient 1/2")
     horizon = float(t_max if t_max is not None else min(t_cap, 12.0))
     if not math.isfinite(horizon) or horizon <= 0:
@@ -324,14 +252,13 @@ def make_su23_structure(A1, b0, t_max=None, grid=600, label="su23"):
     # pole cancellations in the coefficient deflations eat a few orders,
     # so keep enough terms that the Taylor window stays below 1e-10
     order = max(a1_series.order, 14)
-    A_ps = a1_series.as_power_series(order)
+    A_ps = PowerSeries(a1_series, order=order)
     uA = A_ps.shift_down(1)
     g_ps = (1.0 / uA - 2.0).shift_down(1)
-    g_poly = list(g_ps)
 
     def g_reg(t):
         if t < COEFF_SERIES_CUTOFF:
-            return _horner(g_poly, t)
+            return g_ps(t)
         return 1.0 / a1(t) - 2.0 / t
 
     def rhs(t, y):
@@ -367,27 +294,25 @@ def make_su23_structure(A1, b0, t_max=None, grid=600, label="su23"):
     if da1 is None:
         def da1(t, _ps=A_ps.deriv()):
             if t < COEFF_SERIES_CUTOFF:
-                return _horner(list(_ps), t)
+                return _ps(t)
             h = 1e-6 * max(t, 1.0)
             return (a1(t - 2 * h) - 8 * a1(t - h)
                     + 8 * a1(t + h) - a1(t + 2 * h)) / (12 * h)
 
-    dB_poly = list(B_ps.deriv())
+    dB_ps = B_ps.deriv()
 
     def dB1(t):
         if t < COEFF_SERIES_CUTOFF:
-            return _horner(dB_poly, t)
+            return dB_ps(t)
         a = a1(t)
         P = Pfun(t)
         Pdot = P / a + a ** 3
         return B1(t) * (Pdot / (2.0 * P) - da1(t) / a)
 
-    s = StructureData(label, (a1,) * 3, (B1,) * 3, (da1,) * 3, (dB1,) * 3,
-                      (SeriesR.from_power_series(A_ps, "odd"),) * 3,
-                      (SeriesR.from_power_series(B_ps, "even"),) * 3,
-                      b0=b0, b2=B_ps[2], t_max=horizon, symmetric=True)
-    s._cache["export_grid"] = int(grid)
-    return s
+    return StructureData(label, (a1,) * 3, (B1,) * 3, (da1,) * 3,
+                         (dB1,) * 3, (PowerSeries(A_ps, parity="odd"),) * 3,
+                         (PowerSeries(B_ps, parity="even"),) * 3,
+                         b0=b0, b2=B_ps[2], t_max=horizon, symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +328,14 @@ class _RegularFn:
     __slots__ = ("poly", "direct", "cutoff")
 
     def __init__(self, ps, direct, cutoff):
-        self.poly = [float(c) for c in ps]
+        self.poly = PowerSeries([float(c) for c in ps])
         self.direct = direct
         self.cutoff = cutoff
 
     def __call__(self, t):
-        if isinstance(t, PowerSeries):
-            acc = ps_const(self.poly[-1], t.order)
-            for c in reversed(self.poly[:-1]):
-                acc = acc * t + c
-            return acc
-        if self.direct is None or abs(t) < self.cutoff:
-            return _horner(self.poly, t)
+        if (isinstance(t, PowerSeries) or self.direct is None
+                or abs(t) < self.cutoff):
+            return self.poly(t)
         return self.direct(t)
 
 
@@ -451,14 +372,14 @@ class CoefficientFns:
       a_minus_rate   h_i - 4/t, same for the a_i^- branch
       phi1, phi3, gamma1   leading Taylor coefficients
     For symmetric structures scalar_F(t) = 1/t - phi_1(t) is the signed
-    coefficient of the scalar x-equation, with t-coefficient scalar_F_t1.
+    coefficient of the scalar x-equation.
     """
 
     def __init__(self, s):
         self.structure = s
         n = min(sr.order for sr in (s.A_series + s.B_series))
-        A_ps = [sr.as_power_series(n) for sr in s.A_series]
-        B_ps = [sr.as_power_series(n) for sr in s.B_series]
+        A_ps = [PowerSeries(sr, order=n) for sr in s.A_series]
+        B_ps = [PowerSeries(sr, order=n) for sr in s.B_series]
         uA = [p.shift_down(1) for p in A_ps]
 
         data = []
@@ -478,7 +399,6 @@ class CoefficientFns:
         # the disc or truncation overwhelms the direct-path rounding
         rho = min(min(_radius_from_tail(d[0]), _radius_from_tail(d[1]))
                   for d in data)
-        self.radius_estimate = rho
         c_cut = min(COEFF_SERIES_CUTOFF, 0.25 * rho)
         d_cut = min(DEFLATION_CUTOFF, 0.22 * rho)
         self.coeff_cutoff = c_cut
@@ -487,8 +407,8 @@ class CoefficientFns:
         F, G, phi, gamma = [], [], [], []
         phi_hat, dphi, gamma_hat = [], [], []
         a_plus_rate, a_minus_rate = [], []
-        phi1, phi3, phi5, gamma1 = [], [], [], []
-        self.phi_series, self.gamma_series = [], []
+        phi1, phi3, gamma1 = [], [], []
+        self.phi_series = []
 
         for (i, j, k), (phi_ps, gamma_ps, q_ps, pB) in zip(CYC0, data):
             Ai, Aj, Ak = s.A[i], s.A[j], s.A[k]
@@ -511,7 +431,7 @@ class CoefficientFns:
                 return (Bi(t) / (Bj(t) * Ak(t))
                         + Bi(t) / (Aj(t) * Bk(t)) - 4.0 / t)
 
-            p1, p3, p5 = phi_ps[1], phi_ps[3], phi_ps[5]
+            p1, p3 = phi_ps[1], phi_ps[3]
             g1 = gamma_ps[1]
             phi_i = _RegularFn(phi_ps, phi_direct, c_cut)
             gamma_i = _RegularFn(gamma_ps, gamma_direct, c_cut)
@@ -553,11 +473,8 @@ class CoefficientFns:
             a_minus_rate.append(_RegularFn(pB, pB_direct, c_cut))
             phi1.append(p1)
             phi3.append(p3)
-            phi5.append(p5)
             gamma1.append(g1)
-            self.phi_series.append(SeriesR.from_power_series(phi_ps, "odd"))
-            self.gamma_series.append(
-                SeriesR.from_power_series(gamma_ps, "odd"))
+            self.phi_series.append(PowerSeries(phi_ps, parity="odd"))
 
         self.F = tuple(F)
         self.G = tuple(G)
@@ -570,7 +487,6 @@ class CoefficientFns:
         self.a_minus_rate = tuple(a_minus_rate)
         self.phi1 = tuple(phi1)
         self.phi3 = tuple(phi3)
-        self.phi5 = tuple(phi5)
         self.gamma1 = tuple(gamma1)
 
         if s.symmetric:
@@ -582,10 +498,8 @@ class CoefficientFns:
                 return 1.0 / t - phi0(t)
 
             self.scalar_F = scalar_F
-            self.scalar_F_t1 = -self.phi1[0]
         else:
             self.scalar_F = None
-            self.scalar_F_t1 = None
 
 
 def coefficient_functions(s):
@@ -624,8 +538,8 @@ def structure_to_json(s, n_samples=1201, t_hi=None):
             "dB": table(s.dB),
         },
         "series": {
-            "A": [list(sr.coefficients) for sr in s.A_series],
-            "B": [list(sr.coefficients) for sr in s.B_series],
+            "A": [list(sr) for sr in s.A_series],
+            "B": [list(sr) for sr in s.B_series],
         },
         "t_max": hi,
     }
@@ -697,14 +611,15 @@ def structure_from_json(doc):
 
     series = doc.get("series")
     if series is not None:
-        A_series = [SeriesR([float(c) for c in series["A"][i]], "odd")
+        A_series = [PowerSeries(series["A"][i], parity="odd")
                     for i in range(3)]
-        B_series = [SeriesR([float(c) for c in series["B"][i]], "even")
+        B_series = [PowerSeries(series["B"][i], parity="even")
                     for i in range(3)]
     else:
-        A_series = [SeriesR([0.0, 0.5, 0.0, a3[i], 0.0, a5[i]], "odd")
-                    for i in range(3)]
-        B_series = [SeriesR([b0, 0.0, b2, 0.0], "even") for _ in range(3)]
+        A_series = [PowerSeries([0.0, 0.5, 0.0, a3[i], 0.0, a5[i]],
+                                parity="odd") for i in range(3)]
+        B_series = [PowerSeries([b0, 0.0, b2, 0.0], parity="even")
+                    for _ in range(3)]
     same = (samples["A"][0] == samples["A"][1] == samples["A"][2]
             and samples["B"][0] == samples["B"][1] == samples["B"][2])
     return StructureData(doc["label"], A, B, dA, dB, A_series, B_series,

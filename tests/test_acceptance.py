@@ -18,7 +18,7 @@ from g2flow.instantons import (abelian_connection, flat_pid, p1_ivp, pid_ivp,
                                residual_pointwise, su23_p1_ivp, su23_pid_ivp,
                                theta_x1, theta_y0, theta_zero)
 from g2flow.singular_ivp import malgrange_check
-from g2flow.structures import SeriesR, make_su23_structure
+from g2flow.structures import PowerSeries, make_su23_structure
 from g2flow.verify import (P1_SPECTRUM, PID_SPECTRUM, bubbling_report,
                            convergence_report, invariance_report)
 
@@ -183,7 +183,7 @@ def test_10_convergence_to_limit_member(bs):
 
 
 def test_11_linear_example_closed_forms():
-    ser = SeriesR([0.0, 0.5], parity="odd")
+    ser = PowerSeries([0.0, 0.5], parity="odd")
     s = make_su23_structure(((lambda t: 0.5 * t), ser, (lambda t: 0.5)),
                             1.0, t_max=12.0, label="su23-linear")
     for t in np.linspace(0.0, 5.0, 101):

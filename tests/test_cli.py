@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 
+import pytest
+
 from g2flow.cli import main
-from g2flow.instantons import theta_zero
+from g2flow.instantons import theta_x1, theta_zero
 from g2flow.structures import make_linear_example, save_structure
 
 
@@ -56,6 +58,19 @@ def test_config_unknown_keys_rejected(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"weather": {}}))
     assert main(["solve", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"structure": {"kind": "bryant_salamon",
+                                             "grid": 600}}))
+    assert main(["solve", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("x1", ["nan", "inf"])
+def test_theta_x1_rejects_nonfinite(x1, lin, tmp_path):
+    with pytest.raises(ValueError, match="finite"):
+        theta_x1(lin, float(x1))
+    rc = main(["solve", "--family", "theta-x1", "--x1", x1,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "solution.csv").exists()
 
 
 def test_solve_y0_zero_matches_theta_zero(tmp_path, bs):

@@ -102,6 +102,20 @@ def test_theta_y0_residual_across_handoff(bs):
         assert residual_pointwise(bs, sol, t) < 1e-8
 
 
+@pytest.mark.parametrize("name", ["bs", "lin"])
+def test_theta_y0_series_handoff(name, request):
+    s = request.getfixturevalue(name)
+    for y0 in (0.0, 0.5 / s.b0, 1.4 / s.b0, -1.2 / s.b0):
+        sol = theta_y0(s, y0, t_end=1.0)
+        assert sol.extras["handoff_mismatch"] < 1e-10
+        eps = sol.extras["eps"]
+        u, v = sol.extras["u_series"], sol.extras["v_series"]
+        want = [s.A[0](eps) * (2.0 / eps + eps * u(eps)),
+                s.B[0](eps) * (y0 + eps * eps * v(eps))]
+        assert sol.trajectory.t[0] == eps
+        assert sol.trajectory.y[:, 0] == pytest.approx(want, rel=1e-14)
+
+
 def test_boundary_gate_2d(bs, lin):
     for s in (bs, lin):
         rep1 = malgrange_check(su23_p1_ivp(s, 1.0))
@@ -171,8 +185,8 @@ def test_pid_boundary_data_bryant_salamon(bs):
 def test_scalar_engine_boundary_values(bs):
     cf_phi1 = 0.5
     sol = theta_y0(bs, 0.6)
-    u0 = sol.extras["u_series"].coefficient(0)
-    v0 = sol.extras["v_series"].coefficient(0)
+    u0 = sol.extras["u_series"][0]
+    v0 = sol.extras["v_series"][0]
     assert u0 == pytest.approx(0.25 * (0.36 - 2.0 * cf_phi1), rel=1e-9)
     assert v0 == pytest.approx(0.6 * u0 - 0.5 * 0.6 * 2.5, rel=1e-9)
     zero_ivp = su23_pid_ivp(bs, 0.0)

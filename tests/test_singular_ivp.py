@@ -54,10 +54,10 @@ def test_gate_rejects_nonzero_boundary_residual():
 def test_series_bootstrap_linear_solution():
     ser = series_bootstrap(scalar_ivp(-2.0), order=6)[0]
     # y = t/3 solves t y' = -2y + t
-    assert ser.coefficient(0) == 0.0
-    assert ser.coefficient(1) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert ser[0] == 0.0
+    assert ser[1] == pytest.approx(1.0 / 3.0, rel=1e-14)
     for k in (2, 3, 4, 5, 6):
-        assert abs(ser.coefficient(k)) < 1e-14
+        assert abs(ser[k]) < 1e-14
 
 
 def test_series_bootstrap_nonlinear():
@@ -69,8 +69,8 @@ def test_series_bootstrap_nonlinear():
         y0=[0.0],
     )
     ser = series_bootstrap(ivp, order=4)[0]
-    assert ser.coefficient(1) == pytest.approx(0.5, rel=1e-14)
-    assert ser.coefficient(2) == pytest.approx(1.0 / 12.0, rel=1e-13)
+    assert ser[1] == pytest.approx(0.5, rel=1e-14)
+    assert ser[2] == pytest.approx(1.0 / 12.0, rel=1e-13)
 
 
 def test_solve_singular_matches_closed_form():

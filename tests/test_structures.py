@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from g2flow.structures import (SERIES_ORDER, SeriesR, b2_from_data,
+from g2flow.structures import (SERIES_ORDER, PowerSeries, b2_from_data,
                                coefficient_functions, load_structure,
                                make_bryant_salamon, make_linear_example,
                                make_su23_structure, save_structure,
@@ -66,15 +66,15 @@ def test_b2_from_data():
 
 def test_series_parity_enforced():
     with pytest.raises(ValueError):
-        SeriesR([0.0, 0.5, 0.3], "odd")
-    ser = SeriesR([0.0, 0.5, 0.0, -0.125], "odd")
-    assert ser.coefficient(3) == -0.125
-    assert ser.coefficient(2) == 0.0
+        PowerSeries([0.0, 0.5, 0.3], parity="odd")
+    ser = PowerSeries([0.0, 0.5, 0.0, -0.125], parity="odd")
+    assert ser[3] == -0.125
+    assert ser[2] == 0.0
     assert ser.deriv()(0.0) == 0.5
 
 
 def test_su23_rebuilds_linear_b():
-    a1 = SeriesR([0.0, 0.5], "odd")
+    a1 = PowerSeries([0.0, 0.5], parity="odd")
     s = make_su23_structure((lambda t: 0.5 * t, a1, lambda t: 0.5), 1.0,
                             t_max=8.0)
     for t in np.linspace(0.0, 5.0, 21):
@@ -90,10 +90,10 @@ def test_su23_rebuilds_bryant_salamon_b(bs):
 
 
 def test_su23_rejects_bad_inputs():
-    a1 = SeriesR([0.0, 0.5], "odd")
+    a1 = PowerSeries([0.0, 0.5], parity="odd")
     with pytest.raises(ValueError):
         make_su23_structure((lambda t: 0.5 * t, a1), 0.0, t_max=5.0)
-    wrong = SeriesR([0.0, 1.0], "odd")
+    wrong = PowerSeries([0.0, 1.0], parity="odd")
     with pytest.raises(ValueError):
         make_su23_structure((lambda t: t, wrong), 1.0, t_max=5.0)
 
@@ -164,8 +164,7 @@ def test_json_round_trip(bs, tmp_path):
         assert s2.A[0](t) == pytest.approx(bs.A[0](t), abs=5e-9)
         assert s2.B[0](t) == pytest.approx(bs.B[0](t), abs=5e-9)
         assert s2.dA[0](t) == pytest.approx(bs.dA[0](t), abs=5e-8)
-    assert list(s2.A_series[0].coefficients) == \
-        list(bs.A_series[0].coefficients)
+    assert list(s2.A_series[0]) == list(bs.A_series[0])
 
 
 def test_json_rejects_tampering(bs):

@@ -325,12 +325,13 @@ def constraint_value(conn, structure, t):
     """sum_i [a_i^+, a_i^-] / (A_i(t) B_i(t)); vanishes for diagonal data."""
     if t <= 0:
         raise ValueError("constraint is defined for t > 0")
+    brackets = [bracket(p, m) for p, m in zip(conn.a_plus, conn.a_minus)]
     total = Su2Vec(0, 0, 0)
-    for i in range(3):
-        br = bracket(conn.a_plus[i], conn.a_minus[i])
-        if br.is_zero():
-            continue
-        total = total + br / (structure.A[i](t) * structure.B[i](t))
+    if not all(br.is_zero() for br in brackets):
+        A, B, _, _ = structure.frame(t)
+        for br, a, b in zip(brackets, A, B):
+            if not br.is_zero():
+                total = total + br / (a * b)
     return total
 
 

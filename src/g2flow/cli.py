@@ -23,9 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._series import PowerSeries
-from .instantons import (InstantonSolution, _abelian_residual,
-                         abelian_connection, flat_pid, residual_pointwise,
-                         solution_to_csv, theta_x1, theta_y0, theta_zero)
+from .instantons import (InstantonSolution, abelian_connection, flat_pid,
+                         residual_pointwise, solution_to_csv, theta_x1,
+                         theta_y0, theta_zero)
 from .singular_ivp import IntegrationError, PreconditionError
 from .structures import (coefficient_functions, load_structure,
                          make_bryant_salamon, make_linear_example,
@@ -116,6 +116,8 @@ def merged_config(args):
     for key in ("eps", "tol", "t_end"):
         if not float(solver[key]) > 0:
             raise ConfigError("solver.%s must be positive" % key)
+        if key != "t_end" and not math.isfinite(float(solver[key])):
+            raise ConfigError("solver.%s must be finite" % key)
     if not float(solver["eps"]) < float(solver["t_end"]):
         raise ConfigError("solver.eps must be below solver.t_end")
     if int(cfg["outputs"]["grid"]) < 2:
@@ -359,12 +361,10 @@ def _scan_point(s, block, solver, param, value):
     hi = min(sol.valid[1], t_req)
     sup = nan
     if hi > lo * (1 + 1e-9):
-        resfn = (_abelian_residual if sol.family == "abelian"
-                 else residual_pointwise)
         sup = 0.0
         for t in np.geomspace(lo, hi, 25):
             try:
-                sup = max(sup, resfn(s, sol, float(t)))
+                sup = max(sup, residual_pointwise(s, sol, float(t)))
             except ValueError:
                 pass
     return (value, exists, min(blow) if blow else nan,
@@ -382,11 +382,14 @@ def cmd_scan(cfg):
     if param not in ("x1", "y0", "t0", "sign"):
         raise ConfigError("cannot scan parameter %r" % param)
     values = _scan_values(block, cfg["outputs"]["grid"])
-    s = build_structure(cfg["structure"])
-    coefficient_functions(s)
-    workers = int(os.environ.get("G2FLOW_THREADS", "0") or "0")
+    try:
+        workers = int(os.environ.get("G2FLOW_THREADS", "0") or "0")
+    except ValueError:
+        raise ConfigError("G2FLOW_THREADS must be an integer")
     if workers < 1:
         workers = min(4, os.cpu_count() or 1)
+    s = build_structure(cfg["structure"])
+    coefficient_functions(s)
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(

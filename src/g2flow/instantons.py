@@ -89,8 +89,9 @@ def connection_at(sol, t):
     s = sol.structure
     if s is None:
         raise ValueError("family %r carries no structure" % sol.family)
-    ap = tuple(s.A[i](t) * f[i] for i in range(3))
-    am = tuple(s.B[i](t) * f[3 + i] for i in range(3))
+    A, B, _, _ = s.frame(t)
+    ap = tuple(A[i] * f[i] for i in range(3))
+    am = tuple(B[i] * f[3 + i] for i in range(3))
     return ConnectionCoeffs.from_diagonal(ap, am)
 
 
@@ -538,9 +539,9 @@ def flat_pid(s, sign=1):
         raise ValueError("sign must be +1 or -1")
 
     def f6(t):
-        return np.array([1.0 / s.A[0](t), 1.0 / s.A[1](t), 1.0 / s.A[2](t),
-                         sign / s.B[0](t), sign / s.B[1](t),
-                         sign / s.B[2](t)])
+        A, B, _, _ = s.frame(t)
+        return np.array([1.0 / A[0], 1.0 / A[1], 1.0 / A[2],
+                         sign / B[0], sign / B[1], sign / B[2]])
 
     fam = "flat_plus" if sign == 1 else "flat_minus"
     return InstantonSolution(family=fam, params={"sign": float(sign)},
@@ -560,6 +561,10 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0),
     t0 = float(t0)
     if not 0.0 < t0 <= s.t_max:
         raise ValueError("t0 must lie in (0, t_max]")
+    ap0 = tuple(float(x) for x in aplus_t0)
+    am0 = tuple(float(x) for x in aminus_t0)
+    if not all(math.isfinite(x) for x in ap0 + am0):
+        raise ValueError("aplus_t0 and aminus_t0 must be finite")
     cf = coefficient_functions(s)
     rates = list(cf.a_plus_rate) + list(cf.a_minus_rate)
 
@@ -576,9 +581,6 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0),
 
     def ints(t):
         return (sol_up.sol(t) if t >= t0 else sol_dn.sol(t))
-
-    ap0 = tuple(float(x) for x in aplus_t0)
-    am0 = tuple(float(x) for x in aminus_t0)
 
     def f6(t):
         iv = ints(t)
@@ -625,7 +627,9 @@ def residual_pointwise(s, sol, t, h_rel=1e-5):
     Derivatives are estimated by five-point stencils on the bounded
     products A_i f_i^+ and B_i f_i^-, then converted back with the exact
     profile derivatives; this keeps the estimator usable down to small t
-    where the raw profiles grow like 1/t.
+    where the raw profiles grow like 1/t.  Abelian members are measured
+    against their decoupled rate equations, stencils on the slots
+    themselves.
     """
     cf = coefficient_functions(s)
     h = h_rel * max(t, 1.0)
@@ -633,41 +637,28 @@ def residual_pointwise(s, sol, t, h_rel=1e-5):
     offs, wts = _stencil_nodes(t, h, lo, hi)
     ts = [t + o * h for o in offs]
     fvals = [sol.coefficients(x) for x in ts]
-    w = np.empty((6, len(ts)))
-    for m, (x, f) in enumerate(zip(ts, fvals)):
-        for i in range(3):
-            w[i, m] = s.A[i](x) * f[i]
-            w[3 + i, m] = s.B[i](x) * f[3 + i]
-    dw = w.dot(wts) / h
     f = sol.coefficients(t)
-    df = np.empty(6)
-    for i in range(3):
-        df[i] = (dw[i] - s.dA[i](t) * f[i]) / s.A[i](t)
-        df[3 + i] = (dw[3 + i] - s.dB[i](t) * f[3 + i]) / s.B[i](t)
     r = np.empty(6)
+    if sol.family == "abelian":
+        df = np.array(fvals).T.dot(wts) / h
+        for i in range(3):
+            r[i] = df[i] + (cf.a_plus_rate[i](t) - 2.0 / t) * f[i]
+            r[3 + i] = df[3 + i] + (cf.a_minus_rate[i](t) + 4.0 / t) * f[3 + i]
+        return float(np.max(np.abs(r)))
+    w = np.empty((6, len(ts)))
+    for m, (x, fx) in enumerate(zip(ts, fvals)):
+        A, B, _, _ = s.frame(x)
+        for i in range(3):
+            w[i, m] = A[i] * fx[i]
+            w[3 + i, m] = B[i] * fx[3 + i]
+    dw = w.dot(wts) / h
+    A, B, dA, dB = s.frame(t)
     for i, j, k in CYC0:
-        r[i] = (df[i] + cf.F[i](t) * f[i]
-                - (f[3 + j] * f[3 + k] - f[j] * f[k]))
-        r[3 + i] = (df[3 + i] + cf.G[i](t) * f[3 + i]
+        dfp = (dw[i] - dA[i] * f[i]) / A[i]
+        dfm = (dw[3 + i] - dB[i] * f[3 + i]) / B[i]
+        r[i] = dfp + cf.F[i](t) * f[i] - (f[3 + j] * f[3 + k] - f[j] * f[k])
+        r[3 + i] = (dfm + cf.G[i](t) * f[3 + i]
                     - (f[3 + j] * f[k] + f[j] * f[3 + k]))
-    return float(np.max(np.abs(r)))
-
-
-def _abelian_residual(s, sol, t, h_rel=1e-5):
-    """Defect of the decoupled abelian rate equations at t."""
-    cf = coefficient_functions(s)
-    h = h_rel * max(t, 1.0)
-    lo, hi = sol.valid
-    offs, wts = _stencil_nodes(t, h, lo, hi)
-    fvals = np.array([sol.coefficients(t + o * h) for o in offs]).T
-    df = fvals.dot(wts) / h
-    f = np.asarray(sol.coefficients(t), dtype=float)
-    r = np.empty(6)
-    for i in range(3):
-        gp = cf.a_plus_rate[i](t) - 2.0 / t
-        gm = cf.a_minus_rate[i](t) + 4.0 / t
-        r[i] = df[i] + gp * f[i]
-        r[3 + i] = df[3 + i] + gm * f[3 + i]
     return float(np.max(np.abs(r)))
 
 
@@ -680,15 +671,13 @@ def solution_to_csv(sol, path, ts=None):
         lo, hi = sol.valid
         lo = max(lo, 1e-2)
         ts = np.linspace(lo, min(hi, 10.0), 101)
-    resfn = _abelian_residual if sol.family == "abelian" else \
-        residual_pointwise
     with open(path, "w", newline="\n") as fh:
         fh.write("t,f1p,f2p,f3p,f1m,f2m,f3m,residual_max\n")
         for t in ts:
             t = float(t)
             f = sol.coefficients(t)
             try:
-                res = resfn(s, sol, t)
+                res = residual_pointwise(s, sol, t)
             except ValueError:
                 res = float("nan")
             row = [t] + [float(v) for v in f] + [res]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -48,8 +49,7 @@ class StructureData:
 
     def __init__(self, label, A, B, dA, dB, A_series, B_series,
                  b0, b2, t_max, symmetric):
-        if b0 <= 0:
-            raise ValueError("b0 must be positive")
+        b0 = _positive_finite("b0", b0)
         self.label = label
         self.A = tuple(A)
         self.B = tuple(B)
@@ -57,7 +57,7 @@ class StructureData:
         self.dB = tuple(dB)
         self.A_series = tuple(A_series)
         self.B_series = tuple(B_series)
-        self.b0 = float(b0)
+        self.b0 = b0
         self.b2 = float(b2)
         self.t_max = float(t_max)
         self.symmetric = bool(symmetric)
@@ -68,6 +68,20 @@ class StructureData:
         for s in self.B_series:
             if abs(s[0] - b0) > 1e-9 * max(1.0, b0):
                 raise ValueError("B_i series must start at b0")
+
+    def frame(self, t):
+        """(A, B, dA, dB) at t, three values each.
+
+        Each distinct evaluator is called once: a symmetric structure
+        (whose three evaluators in each tuple agree) evaluates index 0
+        and repeats the value.
+        """
+        if self.symmetric:
+            a, b = self.A[0](t), self.B[0](t)
+            da, db = self.dA[0](t), self.dB[0](t)
+            return (a,) * 3, (b,) * 3, (da,) * 3, (db,) * 3
+        return tuple(tuple(f(t) for f in fns)
+                     for fns in (self.A, self.B, self.dA, self.dB))
 
     @property
     def a3(self):
@@ -82,10 +96,17 @@ class StructureData:
             self.label, self.b0, self.t_max)
 
 
+def _positive_finite(name, value):
+    """value as a float; ValueError unless it is finite and positive."""
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError("%s must be positive and finite" % name)
+    return value
+
+
 def b2_from_data(b0, a3):
     """b2 = 1/(8 b0) - b0 (a_{1,3} + a_{2,3} + a_{3,3})."""
-    if b0 <= 0:
-        raise ValueError("b0 must be positive")
+    b0 = _positive_finite("b0", b0)
     return 1.0 / (8.0 * b0) - b0 * float(sum(a3))
 
 
@@ -129,8 +150,8 @@ def make_bryant_salamon(r_max=60.0):
     produced by one regular ODE solve with dense output.  r_max sets the
     horizon t_max = t(r_max).
     """
-    if r_max <= 1:
-        raise ValueError("r_max must exceed 1")
+    if not (r_max > 1 and math.isfinite(r_max)):
+        raise ValueError("r_max must be finite and exceed 1")
     A_ps, B_ps = _bs_series(SERIES_ORDER)
     b0 = _INV_SQRT3
 
@@ -151,8 +172,12 @@ def make_bryant_salamon(r_max=60.0):
         raise RuntimeError("radial coordinate failed to reach r_max")
     t_max = float(sol.t_events[0][0])
     dense = sol.sol
+    t_hi = t_max * (1 + 1e-9)
 
     def wof(t):
+        if not 0.0 <= t <= t_hi:
+            raise ValueError("t=%g outside the profile range [0, %g]"
+                             % (t, t_max))
         return float(dense(t)[0])
 
     def A1(t):
@@ -187,9 +212,8 @@ def make_bryant_salamon(r_max=60.0):
 
 def make_linear_example(b0, t_max=1e6):
     """Closed-form structure A_i = t/2, B_i = sqrt(b0^2 + t^2/4)."""
-    if b0 <= 0:
-        raise ValueError("b0 must be positive")
-    b0 = float(b0)
+    b0 = _positive_finite("b0", b0)
+    t_max = _positive_finite("t_max", t_max)
 
     def A1(t):
         return 0.5 * t
@@ -239,8 +263,7 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
     J = int_0^t (1/A - 2/xi) d xi.  The 1/A - 2/t integrand is evaluated
     by series near 0, direct formula above the cutoff.
     """
-    if b0 <= 0:
-        raise ValueError("b0 must be positive")
+    b0 = _positive_finite("b0", b0)
     a1, a1_series, da1, t_cap = _unpack_profile(A1)
     if a1_series.parity != "odd" or abs(a1_series[1] - 0.5) > 1e-9:
         raise ValueError("A1 series must be odd with leading coefficient 1/2")
@@ -333,19 +356,14 @@ class _RegularFn:
         self.cutoff = cutoff
 
     def __call__(self, t):
-        if (isinstance(t, PowerSeries) or self.direct is None
-                or abs(t) < self.cutoff):
+        if isinstance(t, PowerSeries) or abs(t) < self.cutoff:
             return self.poly(t)
         return self.direct(t)
 
 
 def _shift_pad(ps, m):
-    c = list(ps)
-    while len(c) <= m:
-        c.append(0.0)
-    for k in range(m):
-        c[k] = 0.0
-    return PowerSeries(c[m:])
+    """ps / t^m with the terms below t^m dropped."""
+    return PowerSeries(list(ps)[m:] or [0.0])
 
 
 def _radius_from_tail(ps):
@@ -357,6 +375,27 @@ def _radius_from_tail(ps):
                 return math.inf
             return math.sqrt(c[k - 2] / c[k])
     return math.inf
+
+
+# Closed forms of the CoefficientFns tables above their cutoffs, bound per
+# index with functools.partial; only CoefficientFns._direct reads profiles.
+
+def _pick(direct, k, i, t):
+    return direct(t)[k][i]
+
+
+def _deflate2(reg, c1, t):
+    return (reg(t) - c1 * t) / (t * t)
+
+
+def _deflate5(reg, c1, c3, t):
+    return (reg(t) - c1 * t - c3 * t ** 3) / t ** 5
+
+
+def _with_pole(c, sign, reg, t):
+    if t <= 0:
+        raise ValueError("coefficient functions need t > 0")
+    return c / t + sign * reg(t)
 
 
 class CoefficientFns:
@@ -372,11 +411,13 @@ class CoefficientFns:
       a_minus_rate   h_i - 4/t, same for the a_i^- branch
       phi1, phi3, gamma1   leading Taylor coefficients
     For symmetric structures scalar_F(t) = 1/t - phi_1(t) is the signed
-    coefficient of the scalar x-equation.
+    coefficient of the scalar x-equation.  Above the cutoffs every table
+    reads the closed forms of one _direct(t) evaluation.
     """
 
     def __init__(self, s):
         self.structure = s
+        self._last = (None, None)
         n = min(sr.order for sr in (s.A_series + s.B_series))
         A_ps = [PowerSeries(sr, order=n) for sr in s.A_series]
         B_ps = [PowerSeries(sr, order=n) for sr in s.B_series]
@@ -404,102 +445,60 @@ class CoefficientFns:
         self.coeff_cutoff = c_cut
         self.defl_cutoff = d_cut
 
-        F, G, phi, gamma = [], [], [], []
+        # phi, gamma, a_plus_rate, a_minus_rate: the series of data[i][k]
+        # below c_cut, entry [k][i] of _direct(t) above it
+        self.phi, self.gamma, self.a_plus_rate, self.a_minus_rate = (
+            tuple(_RegularFn(d[k], partial(_pick, self._direct, k, i), c_cut)
+                  for i, d in enumerate(data)) for k in range(4))
+        self.phi1 = tuple(ps[1] for ps, _, _, _ in data)
+        self.phi3 = tuple(ps[3] for ps, _, _, _ in data)
+        self.gamma1 = tuple(ps[1] for _, ps, _, _ in data)
+        self.phi_series = [PowerSeries(d[0], parity="odd") for d in data]
+
         phi_hat, dphi, gamma_hat = [], [], []
-        a_plus_rate, a_minus_rate = [], []
-        phi1, phi3, gamma1 = [], [], []
-        self.phi_series = []
-
-        for (i, j, k), (phi_ps, gamma_ps, q_ps, pB) in zip(CYC0, data):
-            Ai, Aj, Ak = s.A[i], s.A[j], s.A[k]
-            Bi, Bj, Bk = s.B[i], s.B[j], s.B[k]
-            dAi, dBi = s.dA[i], s.dB[i]
-
-            def phi_direct(t, Ai=Ai, Aj=Aj, Ak=Ak, Bj=Bj, Bk=Bk, dAi=dAi):
-                return (dAi(t) / Ai(t) + Ai(t) / (Bj(t) * Bk(t))
-                        - Ai(t) / (Aj(t) * Ak(t)) + 1.0 / t)
-
-            def gamma_direct(t, Bi=Bi, Bj=Bj, Bk=Bk, Aj=Aj, Ak=Ak, dBi=dBi):
-                return (dBi(t) / Bi(t) + Bi(t) / (Bj(t) * Ak(t))
-                        + Bi(t) / (Aj(t) * Bk(t)) - 4.0 / t)
-
-            def q_direct(t, Ai=Ai, Aj=Aj, Ak=Ak, Bj=Bj, Bk=Bk):
-                return (Ai(t) / (Bj(t) * Bk(t))
-                        - Ai(t) / (Aj(t) * Ak(t)) + 2.0 / t)
-
-            def pB_direct(t, Bi=Bi, Bj=Bj, Bk=Bk, Aj=Aj, Ak=Ak):
-                return (Bi(t) / (Bj(t) * Ak(t))
-                        + Bi(t) / (Aj(t) * Bk(t)) - 4.0 / t)
-
-            p1, p3 = phi_ps[1], phi_ps[3]
-            g1 = gamma_ps[1]
-            phi_i = _RegularFn(phi_ps, phi_direct, c_cut)
-            gamma_i = _RegularFn(gamma_ps, gamma_direct, c_cut)
-
-            def F_i(t, phi_i=phi_i):
-                if t <= 0:
-                    raise ValueError("coefficient functions need t > 0")
-                return -1.0 / t + phi_i(t)
-
-            def G_i(t, gamma_i=gamma_i):
-                if t <= 0:
-                    raise ValueError("coefficient functions need t > 0")
-                return 4.0 / t + gamma_i(t)
-
+        for i, (phi_ps, gamma_ps, _, _) in enumerate(data):
+            p1, p3, g1 = self.phi1[i], self.phi3[i], self.gamma1[i]
             tvar = ps_var(max(phi_ps.order, 1))
-            phi_hat_ps = _shift_pad(phi_ps - tvar * p1, 2)
-            dphi_ps = _shift_pad(phi_ps - tvar * p1 - (tvar ** 3) * p3, 5)
             gvar = ps_var(max(gamma_ps.order, 1))
-            gamma_hat_ps = _shift_pad(gamma_ps - gvar * g1, 2)
-
-            def phi_hat_direct(t, phi_i=phi_i, p1=p1):
-                return (phi_i(t) - p1 * t) / (t * t)
-
-            def dphi_direct(t, phi_i=phi_i, p1=p1, p3=p3):
-                return (phi_i(t) - p1 * t - p3 * t ** 3) / t ** 5
-
-            def gamma_hat_direct(t, gamma_i=gamma_i, g1=g1):
-                return (gamma_i(t) - g1 * t) / (t * t)
-
-            F.append(F_i)
-            G.append(G_i)
-            phi.append(phi_i)
-            gamma.append(gamma_i)
-            phi_hat.append(_RegularFn(phi_hat_ps, phi_hat_direct, d_cut))
-            dphi.append(_RegularFn(dphi_ps, dphi_direct, d_cut))
-            gamma_hat.append(_RegularFn(gamma_hat_ps, gamma_hat_direct,
-                                        d_cut))
-            a_plus_rate.append(_RegularFn(q_ps, q_direct, c_cut))
-            a_minus_rate.append(_RegularFn(pB, pB_direct, c_cut))
-            phi1.append(p1)
-            phi3.append(p3)
-            gamma1.append(g1)
-            self.phi_series.append(PowerSeries(phi_ps, parity="odd"))
-
-        self.F = tuple(F)
-        self.G = tuple(G)
-        self.phi = tuple(phi)
-        self.gamma = tuple(gamma)
+            phi_hat.append(_RegularFn(
+                _shift_pad(phi_ps - tvar * p1, 2),
+                partial(_deflate2, self.phi[i], p1), d_cut))
+            dphi.append(_RegularFn(
+                _shift_pad(phi_ps - tvar * p1 - (tvar ** 3) * p3, 5),
+                partial(_deflate5, self.phi[i], p1, p3), d_cut))
+            gamma_hat.append(_RegularFn(
+                _shift_pad(gamma_ps - gvar * g1, 2),
+                partial(_deflate2, self.gamma[i], g1), d_cut))
         self.phi_hat = tuple(phi_hat)
         self.dphi = tuple(dphi)
         self.gamma_hat = tuple(gamma_hat)
-        self.a_plus_rate = tuple(a_plus_rate)
-        self.a_minus_rate = tuple(a_minus_rate)
-        self.phi1 = tuple(phi1)
-        self.phi3 = tuple(phi3)
-        self.gamma1 = tuple(gamma1)
+        self.F = tuple(partial(_with_pole, -1.0, 1.0, f) for f in self.phi)
+        self.G = tuple(partial(_with_pole, 4.0, 1.0, f) for f in self.gamma)
+        self.scalar_F = (partial(_with_pole, 1.0, -1.0, self.phi[0])
+                         if s.symmetric else None)
 
-        if s.symmetric:
-            phi0 = self.phi[0]
-
-            def scalar_F(t):
-                if t <= 0:
-                    raise ValueError("coefficient functions need t > 0")
-                return 1.0 / t - phi0(t)
-
-            self.scalar_F = scalar_F
-        else:
-            self.scalar_F = None
+    def _direct(self, t):
+        """Closed-form (phi, gamma, q, pB) at t, three values each, from
+        one profile frame.  The last t and its values are kept as one
+        tuple, replaced in a single assignment, so every table read at
+        the same t shares the frame, also across threads."""
+        last = self._last
+        if last[0] == t:
+            return last[1]
+        A, B, dA, dB = self.structure.frame(t)
+        phi, gamma, q, pB = [], [], [], []
+        for i, j, k in CYC0:
+            AoBB = A[i] / (B[j] * B[k])
+            AoAA = A[i] / (A[j] * A[k])
+            BoBA = B[i] / (B[j] * A[k])
+            BoAB = B[i] / (A[j] * B[k])
+            phi.append(dA[i] / A[i] + AoBB - AoAA + 1.0 / t)
+            gamma.append(dB[i] / B[i] + BoBA + BoAB - 4.0 / t)
+            q.append(AoBB - AoAA + 2.0 / t)
+            pB.append(BoBA + BoAB - 4.0 / t)
+        values = (phi, gamma, q, pB)
+        self._last = (t, values)
+        return values
 
 
 def coefficient_functions(s):
@@ -571,9 +570,7 @@ def structure_from_json(doc):
     missing = _STRUCTURE_KEYS - {"series"} - set(doc)
     if missing:
         raise ValueError("missing structure keys: %s" % sorted(missing))
-    b0 = float(doc["b0"])
-    if b0 <= 0:
-        raise ValueError("b0 must be positive")
+    b0 = _positive_finite("b0", doc["b0"])
     b2 = float(doc["b2"])
     a3 = [float(x) for x in doc["a3"]]
     a5 = [float(x) for x in doc["a5"]]
@@ -620,8 +617,8 @@ def structure_from_json(doc):
                                 parity="odd") for i in range(3)]
         B_series = [PowerSeries([b0, 0.0, b2, 0.0], parity="even")
                     for _ in range(3)]
-    same = (samples["A"][0] == samples["A"][1] == samples["A"][2]
-            and samples["B"][0] == samples["B"][1] == samples["B"][2])
+    same = all(samples[key][0] == samples[key][1] == samples[key][2]
+               for key in ("A", "B", "dA", "dB") if key in samples)
     return StructureData(doc["label"], A, B, dA, dB, A_series, B_series,
                          b0=b0, b2=b2, t_max=t_max, symmetric=same)
 

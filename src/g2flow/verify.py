@@ -13,9 +13,8 @@ import numpy as np
 
 from .algebra import (ConnectionCoeffs, constraint_value, curvature_direct,
                       curvature_lemma2, random_rational_connection)
-from .instantons import (_abelian_residual, connection_at, flat_pid, p1_ivp,
-                         pid_ivp, residual_pointwise, theta_x1, theta_y0,
-                         theta_zero)
+from .instantons import (connection_at, flat_pid, p1_ivp, pid_ivp,
+                         residual_pointwise, theta_x1, theta_y0, theta_zero)
 from .singular_ivp import malgrange_check
 from .structures import CYC0, coefficient_functions
 
@@ -93,9 +92,7 @@ def residual_report(s, sol, grid, threshold=None):
     if grid.min() <= lo or grid.max() > hi * (1 + 1e-9):
         raise ValueError("residual grid leaves the solution range (%g, %g]"
                          % (lo, hi))
-    resfn = _abelian_residual if sol.family == "abelian" else \
-        residual_pointwise
-    res = np.array([resfn(s, sol, t) for t in grid])
+    res = np.array([residual_pointwise(s, sol, t) for t in grid])
     cons = max(constraint_value(connection_at(sol, t), s, t).norm_inf()
                for t in grid)
     metrics = {"sup_residual": float(res.max()),
@@ -349,11 +346,12 @@ def _curvature_blocks(s, sol, t):
                 placed = True
         if not placed:
             other.extend(float(v) for v in vec)
+    A, B, dA, dB = s.frame(t)
     for i, j, k in CYC0:
         dfp = (-cf.F[i](t) * f[i] + f[3 + j] * f[3 + k] - f[j] * f[k])
         dfm = (-cf.G[i](t) * f[3 + i] + f[3 + j] * f[k] + f[j] * f[3 + k])
-        da_p = s.dA[i](t) * f[i] + s.A[i](t) * dfp
-        da_m = s.dB[i](t) * f[3 + i] + s.B[i](t) * dfm
+        da_p = dA[i] * f[i] + A[i] * dfp
+        da_m = dB[i] * f[3 + i] + B[i] * dfm
         other.extend([da_p, da_m])
     return mm, float(np.abs(other).max()) if other else 0.0
 

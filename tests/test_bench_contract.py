@@ -4,14 +4,19 @@ by module attribute; a refactor that removes one breaks it silently."""
 import contextlib
 import pathlib
 
+import g2flow
 from g2flow import cli, instantons, structures
 
 
-def test_perfbench_tracer_installs_and_restores(monkeypatch):
+def _tracing(monkeypatch):
     root = pathlib.Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     import tracing
+    return tracing
 
+
+def test_perfbench_tracer_installs_and_restores(monkeypatch):
+    tracing = _tracing(monkeypatch)
     before = (instantons.malgrange_check, instantons.series_bootstrap,
               cli.ThreadPoolExecutor, structures.CoefficientFns)
     with contextlib.ExitStack() as stack:
@@ -19,3 +24,17 @@ def test_perfbench_tracer_installs_and_restores(monkeypatch):
         assert instantons.malgrange_check is not before[0]
     assert (instantons.malgrange_check, instantons.series_bootstrap,
             cli.ThreadPoolExecutor, structures.CoefficientFns) == before
+
+
+def test_perfbench_tracer_sees_profile_and_coefficient_layers(monkeypatch):
+    # coefficient tables must read profiles through the evaluator tuples
+    # the tracer wraps, or the per-layer counts silently read zero
+    tracing = _tracing(monkeypatch)
+    tr = tracing.Tracer()
+    with contextlib.ExitStack() as stack:
+        tracing.install(tr, stack)
+        s = g2flow.make_bryant_salamon(5.0)
+        structures.coefficient_functions(s).phi[0](1.0)
+    layers = tr.layers()
+    for name in ("structures.profile", "structures.coeff"):
+        assert layers.get(name, (0,))[0] > 0, name

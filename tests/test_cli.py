@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from g2flow.cli import main
-from g2flow.instantons import theta_x1, theta_zero
-from g2flow.structures import make_linear_example, save_structure
+from g2flow.instantons import abelian_connection, theta_x1, theta_zero
+from g2flow.structures import (make_bryant_salamon, make_linear_example,
+                               make_su23_structure, save_structure)
 
 
 def read_csv(path):
@@ -63,14 +64,58 @@ def test_config_unknown_keys_rejected(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("x1", ["nan", "inf"])
-def test_theta_x1_rejects_nonfinite(x1, lin, tmp_path):
-    with pytest.raises(ValueError, match="finite"):
-        theta_x1(lin, float(x1))
-    rc = main(["solve", "--family", "theta-x1", "--x1", x1,
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert not (tmp_path / "solution.csv").exists()
+NAN, INF = float("nan"), float("inf")
+
+# id: (argv, G2FLOW_THREADS or None, library call that must raise or None)
+NONFINITE = {
+    "theta-x1-nan": (["solve", "--family", "theta-x1", "--x1", "nan"], None,
+                     lambda lin: theta_x1(lin, NAN)),
+    "theta-x1-inf": (["solve", "--family", "theta-x1", "--x1", "inf"], None,
+                     lambda lin: theta_x1(lin, INF)),
+    "bs-r-max-nan": (["structure", "--r-max", "nan"], None,
+                     lambda lin: make_bryant_salamon(NAN)),
+    "bs-r-max-inf": (["structure", "--r-max", "inf"], None,
+                     lambda lin: make_bryant_salamon(INF)),
+    "linear-b0-nan": (["structure", "--kind", "linear", "--b0", "nan"], None,
+                      lambda lin: make_linear_example(NAN)),
+    "linear-t-max-nan": (["structure", "--kind", "linear", "--t-max", "nan"],
+                         None, lambda lin: make_linear_example(1.0, NAN)),
+    "su23-b0-nan": (["structure", "--kind", "su23", "--b0", "nan"], None,
+                    lambda lin: make_su23_structure(lin, NAN)),
+    "abelian-aplus-nan": (["solve", "--family", "abelian", "--aplus",
+                           "nan,0,0"], None,
+                          lambda lin: abelian_connection(lin, 1.0,
+                                                         (NAN, 0, 0))),
+    "abelian-aminus-inf": (["solve", "--family", "abelian", "--aminus",
+                            "0,inf,0"], None,
+                           lambda lin: abelian_connection(
+                               lin, 1.0, (1, 0, 0), (0, INF, 0))),
+    "tol-inf": (["solve", "--family", "theta-y0", "--tol", "inf"], None,
+                None),
+    "eps-nan": (["solve", "--family", "theta-y0", "--eps", "nan"], None,
+                None),
+    "threads-not-int": (["scan", "--family", "theta-x1", "--values", "1"],
+                        "abc", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE))
+def test_rejects_nonfinite(case, lin, tmp_path, monkeypatch):
+    argv, threads, library_call = NONFINITE[case]
+    if library_call is not None:
+        with pytest.raises(ValueError, match="finite"):
+            library_call(lin)
+    if threads is not None:
+        monkeypatch.setenv("G2FLOW_THREADS", threads)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_t_end_inf_runs_to_t_max(bs, tmp_path):
+    assert main(["solve", "--family", "flat-pid", "--t-end", "inf",
+                 "--out", str(tmp_path)]) == 0
+    _, data = read_csv(tmp_path / "solution.csv")
+    assert data[-1, 0] == bs.t_max
 
 
 def test_solve_y0_zero_matches_theta_zero(tmp_path, bs):

@@ -209,13 +209,12 @@ def test_abelian_decay_and_bundle(bs):
 def test_abelian_residual_small(bs):
     # the raw minus branch grows like t^-4 below t0, so the absolute
     # defect is only meaningful where the coefficients are bounded
-    from g2flow.instantons import _abelian_residual
     sol = abelian_connection(bs, 1.0, (0.7, 0.0, 0.2), (0.0, 0.3, 0.0))
     for t in np.geomspace(1.0, 10.0, 7):
-        assert _abelian_residual(bs, sol, t) < 1e-8
+        assert residual_pointwise(bs, sol, t) < 1e-8
     plus = abelian_connection(bs, 1.0, (0.7, 0.0, 0.2))
     for t in np.geomspace(1e-2, 10.0, 11):
-        assert _abelian_residual(bs, plus, t) < 1e-8
+        assert residual_pointwise(bs, plus, t) < 1e-8
 
 
 def test_residuals_on_explicit_families(bs, lin):

@@ -1,14 +1,21 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from g2flow.structures import (SERIES_ORDER, PowerSeries, b2_from_data,
+from g2flow.instantons import p1_ivp, pid_ivp
+from g2flow.structures import (SERIES_ORDER, CoefficientFns, PowerSeries,
+                               StructureData, b2_from_data,
                                coefficient_functions, load_structure,
                                make_bryant_salamon, make_linear_example,
                                make_su23_structure, save_structure,
                                structure_from_json, structure_to_json)
+
+_TABLES = ("F", "G", "phi", "gamma", "phi_hat", "dphi", "gamma_hat",
+           "a_plus_rate", "a_minus_rate")
 
 
 def test_bryant_salamon_boundary_data(bs):
@@ -195,3 +202,94 @@ def test_structure_rejects_nonpositive_b0():
 def test_bryant_salamon_r_max_validation():
     with pytest.raises(ValueError):
         make_bryant_salamon(r_max=1.0)
+
+
+def test_bryant_salamon_evaluators_stay_in_range():
+    s = make_bryant_salamon(5.0)
+    for fn in (s.A[0], s.B[0], s.dA[0], s.dB[0]):
+        fn(0.0)
+        fn(s.t_max)
+        for t in (-1.0, 2.0 * s.t_max, s.t_max * (1 + 1e-8), math.nan):
+            with pytest.raises(ValueError, match="outside the profile range"):
+                fn(t)
+
+
+def _counting_rebuild(s, symmetric):
+    """s rebuilt through the public constructor with evaluators that
+    count their calls in calls[0]."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapped(t):
+            calls[0] += 1
+            return fn(t)
+        return wrapped
+
+    rebuilt = StructureData(
+        s.label, [counted(f) for f in s.A], [counted(f) for f in s.B],
+        [counted(f) for f in s.dA], [counted(f) for f in s.dB],
+        s.A_series, s.B_series, b0=s.b0, b2=s.b2, t_max=s.t_max,
+        symmetric=symmetric)
+    return rebuilt, calls
+
+
+@pytest.mark.parametrize("symmetric, per_t", [(True, 4), (False, 12)])
+def test_one_profile_frame_per_t(bs, symmetric, per_t):
+    s, calls = _counting_rebuild(bs, symmetric)
+    pid = pid_ivp(s, 0.5 / s.b0)
+    p1 = p1_ivp(s)
+    for ivp, t in ((pid, 1.3), (p1, 2.1), (pid, 0.7), (p1, 0.3)):
+        before = calls[0]
+        ivp.M(t, [0.1] * 6)
+        assert calls[0] - before == per_t
+        ivp.M(t, [0.2] * 6)
+        assert calls[0] - before == per_t
+
+
+def test_frame_matches_evaluators_bitwise(bs, lin):
+    # equal A and B samples with unequal dA samples are not symmetric
+    doc = structure_to_json(bs, n_samples=41)
+    doc["samples"]["dA"][2] = [1.01 * v for v in doc["samples"]["dA"][2]]
+    asym = structure_from_json(doc)
+    assert not asym.symmetric
+    for s in (bs, lin, asym):
+        for t in (0.0, 0.01, 0.37, 1.0, 4.5):
+            want = tuple(tuple(f(t).hex() for f in fns)
+                         for fns in (s.A, s.B, s.dA, s.dB))
+            got = tuple(tuple(v.hex() for v in vals) for vals in s.frame(t))
+            assert got == want
+
+
+def test_coefficient_tables_thread_safe(bs):
+    def values(cf, t):
+        return tuple(fn(t).hex() for name in _TABLES
+                     for fn in getattr(cf, name))
+
+    ts = [float(t) for t in np.linspace(0.06, 12.0, 200)]
+    serial = CoefficientFns(bs)
+    want = {t: values(serial, t) for t in ts}
+    shared = CoefficientFns(bs)
+    workers = 4
+    got = [[] for _ in range(workers)]
+    start = threading.Barrier(workers)
+
+    def run(n):
+        # each worker walks the same t in its own rotated order
+        start.wait()
+        for _ in range(3):
+            for t in ts[50 * n:] + ts[:50 * n]:
+                got[n].append(values(shared, t) == want[t])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(n,))
+                   for n in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert all(g == [True] * 600 for g in got)

@@ -208,10 +208,8 @@ class PowerSeries:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t):
-        """Value at a number t, or the composition with a series t."""
+        """Value at the number t."""
         out = self.c[-1]
-        if isinstance(t, PowerSeries):
-            out = ps_const(out, t.order)
         for a in reversed(self.c[:-1]):
             out = out * t + a
         return out

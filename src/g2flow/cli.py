@@ -7,7 +7,8 @@ Four subcommands share one JSON config document:
   scan        sweep a family parameter, one summary row per grid point
   verify      run the report battery, write report JSON + summary CSV
 
-Flags mirror config keys and win over the file.  Exit codes: 0 success,
+CONFIG_KEYS names every config key and the converter that types it;
+flags mirror config keys and win over the file.  Exit codes: 0 success,
 1 failed verification, 2 config error, 3 runtime numeric event.  Output
 is deterministic: fixed seeds, 17-digit floats, \n line endings.
 """
@@ -23,9 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._series import PowerSeries
-from .instantons import (InstantonSolution, abelian_connection, flat_pid,
-                         residual_pointwise, solution_to_csv, theta_x1,
-                         theta_y0, theta_zero)
+from .instantons import (abelian_connection, flat_pid, residual_pointwise,
+                         solution_to_csv, theta_x1, theta_y0, theta_zero)
 from .singular_ivp import IntegrationError, PreconditionError
 from .structures import (coefficient_functions, load_structure,
                          make_bryant_salamon, make_linear_example,
@@ -36,14 +36,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-_SECTION_KEYS = {
-    "structure": {"kind", "r_max", "b0", "a3", "a5", "t_max", "path"},
-    "family": {"kind", "x1", "y0", "sign", "t0", "aplus", "aminus",
-               "param", "values", "lo", "hi"},
-    "solver": {"eps", "order", "tol", "t_end"},
-    "outputs": {"dir", "grid"},
-}
 
 _STRUCTURE_KINDS = ("bryant_salamon", "su23", "linear", "file")
 _FAMILY_KINDS = ("theta_x1", "theta_zero", "theta_y0", "flat_pid",
@@ -64,109 +56,153 @@ def default_config():
     }
 
 
+# Converters: each returns its typed value or raises ValueError/TypeError.
+
 def _canon(kind):
     return str(kind).replace("-", "_")
 
 
-def validate_config(doc):
-    """Reject unknown sections/keys; returns the document unchanged."""
+def _real(v):
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError("must be finite, got %r" % v)
+    return v
+
+
+def _positive(v, inf_ok=False):
+    v = float(v)
+    if not (v > 0 and (inf_ok or math.isfinite(v))):
+        raise ValueError("must be positive%s, got %r"
+                         % ("" if inf_ok else " and finite", v))
+    return v
+
+
+def _integer(least):
+    def conv(v):
+        f = float(v)
+        if not (f.is_integer() and f >= least):
+            raise ValueError("must be an integer >= %d, got %r" % (least, v))
+        return int(f)
+    return conv
+
+
+def _reals(v):
+    """Finite reals from a JSON list or a comma-separated string."""
+    if isinstance(v, str):
+        v = [x for x in v.split(",") if x != ""]
+    if not isinstance(v, list):
+        raise ValueError("expected a list of numbers, got %r" % (v,))
+    return [_real(x) for x in v]
+
+
+def _three_reals(v):
+    v = tuple(_reals(v))
+    if len(v) != 3:
+        raise ValueError("expected three numbers, got %d" % len(v))
+    return v
+
+
+def _text(v):
+    if not isinstance(v, str):
+        raise ValueError("expected a string, got %r" % (v,))
+    return v
+
+
+def _choice(choices, norm=_canon):
+    def conv(v):
+        v = norm(v)
+        if v not in choices:
+            raise ValueError("expected one of %s, got %r"
+                             % (", ".join(map(str, choices)), v))
+        return v
+    return conv
+
+
+# section -> key -> converter: the only list of config keys.  A flag's
+# dest is its key, except for the two in _FLAG_DEST.
+CONFIG_KEYS = {
+    "structure": {"kind": _choice(_STRUCTURE_KINDS), "r_max": _real,
+                  "b0": _positive, "a3": _real, "a5": _real,
+                  "t_max": _positive, "path": _text},
+    "family": {"kind": _choice(_FAMILY_KINDS + ("flat_plus", "flat_minus")),
+               "x1": _real, "y0": _real,
+               "sign": _choice((1, -1), _integer(-1)), "t0": _real,
+               "aplus": _three_reals, "aminus": _three_reals,
+               "param": _choice(("x1", "y0", "t0", "sign")),
+               "values": _reals, "lo": _real, "hi": _real},
+    "solver": {"eps": _positive, "order": _integer(0), "tol": _positive,
+               "t_end": lambda v: _positive(v, inf_ok=True)},
+    "outputs": {"dir": _text, "grid": _integer(2)},
+}
+_FLAG_DEST = {("family", "kind"): "family", ("outputs", "dir"): "out"}
+_THRESHOLD_KEYS = {"residual": _positive}
+
+
+def _known(doc, keys, where):
+    """doc, checked to hold only keys of the table (nested ones too)."""
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - set(_SECTION_KEYS)
+        raise ConfigError("%s must be a JSON object" % where)
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise ConfigError("unknown config sections: %s" % sorted(unknown))
-    for section, keys in _SECTION_KEYS.items():
-        block = doc.get(section, {})
-        if not isinstance(block, dict):
-            raise ConfigError("config section %r must be an object"
-                              % section)
-        bad = set(block) - keys
-        if bad:
-            raise ConfigError("unknown keys in %r: %s"
-                              % (section, sorted(bad)))
+        raise ConfigError("unknown keys in %s: %s" % (where, sorted(unknown)))
+    for key, sub in keys.items():
+        if isinstance(sub, dict) and key in doc:
+            _known(doc[key], sub, key)
     return doc
 
 
-def load_config(path):
+def load_config(path, keys=CONFIG_KEYS, what="config"):
+    """The JSON document at path, its keys checked against the table."""
     if not os.path.exists(path):
-        raise ConfigError("config file %r does not exist" % path)
+        raise ConfigError("%s file %r does not exist" % (what, path))
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
-            raise ConfigError("config is not valid JSON: %s" % exc)
-    return validate_config(doc)
+            raise ConfigError("%s file is not valid JSON: %s" % (what, exc))
+    return _known(doc, keys, what)
+
+
+def _typed(block, keys, where):
+    """block with every value passed once through its converter."""
+    out = {}
+    for key, val in block.items():
+        try:
+            out[key] = keys[key](val)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError("%s%s: %s" % (where, key, exc))
+    return out
 
 
 def merged_config(args):
-    """defaults <- config file <- global flags, key by key."""
+    """defaults <- config file <- flags, key by key, then typed."""
     cfg = default_config()
     if getattr(args, "config", None):
         for section, block in load_config(args.config).items():
             cfg[section].update(block)
-    if getattr(args, "out", None) is not None:
-        cfg["outputs"]["dir"] = args.out
-    if getattr(args, "grid", None) is not None:
-        cfg["outputs"]["grid"] = args.grid
-    for key in ("tol", "eps", "t_end"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg["solver"][key] = val
-    solver = cfg["solver"]
-    for key in ("eps", "tol", "t_end"):
-        if not float(solver[key]) > 0:
-            raise ConfigError("solver.%s must be positive" % key)
-        if key != "t_end" and not math.isfinite(float(solver[key])):
-            raise ConfigError("solver.%s must be finite" % key)
-    if not float(solver["eps"]) < float(solver["t_end"]):
+    if getattr(args, "structure", None) is not None:
+        cfg["structure"] = {"kind": "file", "path": args.structure}
+    for section, keys in CONFIG_KEYS.items():
+        for key in keys:
+            val = getattr(args, _FLAG_DEST.get((section, key), key), None)
+            if val is not None:
+                cfg[section][key] = val
+        cfg[section] = _typed(cfg[section], keys, section + ".")
+    if not cfg["solver"]["eps"] < cfg["solver"]["t_end"]:
         raise ConfigError("solver.eps must be below solver.t_end")
-    if int(cfg["outputs"]["grid"]) < 2:
-        raise ConfigError("outputs.grid must be at least 2")
     return cfg
 
 
-def _structure_flags_into(cfg, args):
-    block = cfg["structure"]
-    if getattr(args, "structure", None) is not None:
-        cfg["structure"] = block = {"kind": "file", "path": args.structure}
-    for key in ("kind", "r_max", "b0", "a3", "a5", "t_max", "path"):
-        val = getattr(args, key, None)
-        if val is not None:
-            block[key] = val
-
-
-def _family_flags_into(cfg, args):
-    block = cfg["family"]
-    if getattr(args, "family", None) is not None:
-        block["kind"] = args.family
-    for key in ("x1", "y0", "sign", "t0", "param", "lo", "hi"):
-        val = getattr(args, key, None)
-        if val is not None:
-            block[key] = val
-    for key in ("aplus", "aminus", "values"):
-        val = getattr(args, key, None)
-        if val is not None:
-            try:
-                block[key] = [float(x) for x in val.split(",") if x != ""]
-            except ValueError:
-                raise ConfigError("--%s expects comma-separated numbers"
-                                  % key)
-
-
 def build_structure(block):
-    kind = _canon(block.get("kind", "bryant_salamon"))
-    if kind not in _STRUCTURE_KINDS:
-        raise ConfigError("unknown structure kind %r (expected one of %s)"
-                          % (kind, ", ".join(_STRUCTURE_KINDS)))
+    kind = block["kind"]
     try:
         if kind == "bryant_salamon":
-            return make_bryant_salamon(r_max=float(block.get("r_max", 60.0)))
+            return make_bryant_salamon(r_max=block.get("r_max", 60.0))
         if kind == "linear":
-            return make_linear_example(float(block.get("b0", 1.0)),
-                                       t_max=float(block.get("t_max", 1e6)))
+            return make_linear_example(block.get("b0", 1.0),
+                                       t_max=block.get("t_max", 1e6))
         if kind == "su23":
-            a3 = float(block.get("a3", 0.0))
-            a5 = float(block.get("a5", 0.0))
+            a3, a5 = block.get("a3", 0.0), block.get("a5", 0.0)
             ser = PowerSeries([0.0, 0.5, 0.0, a3, 0.0, a5], parity="odd")
 
             def a1(t):
@@ -175,10 +211,8 @@ def build_structure(block):
             def da1(t):
                 return 0.5 + t * t * (3.0 * a3 + 5.0 * a5 * t * t)
 
-            t_max = block.get("t_max")
-            return make_su23_structure(
-                (a1, ser, da1), float(block.get("b0", 1.0)),
-                t_max=None if t_max is None else float(t_max))
+            return make_su23_structure((a1, ser, da1), block.get("b0", 1.0),
+                                       t_max=block.get("t_max"))
         path = block.get("path")
         if path is None:
             raise ConfigError("structure kind 'file' needs a path")
@@ -192,34 +226,22 @@ def build_structure(block):
 
 
 def build_family(s, block, solver):
-    kind = _canon(block.get("kind", "theta_x1"))
+    kind = block["kind"]
     if kind in ("flat_plus", "flat_minus"):
         block = dict(block, sign=1 if kind == "flat_plus" else -1)
         kind = "flat_pid"
-    if kind not in _FAMILY_KINDS:
-        raise ConfigError("unknown family kind %r (expected one of %s)"
-                          % (kind, ", ".join(_FAMILY_KINDS)))
     try:
         if kind == "theta_x1":
-            return theta_x1(s, float(block.get("x1", 1.0)))
+            return theta_x1(s, block.get("x1", 1.0))
         if kind == "theta_zero":
             return theta_zero(s)
         if kind == "theta_y0":
-            return theta_y0(s, float(block.get("y0", 0.0)),
-                            t_end=float(solver["t_end"]),
-                            eps=float(solver["eps"]),
-                            order=int(solver["order"]),
-                            tol=float(solver["tol"]))
+            return theta_y0(s, block.get("y0", 0.0), **solver)
         if kind == "flat_pid":
-            return flat_pid(s, int(block.get("sign", 1)))
-        aplus = tuple(block.get("aplus", (1.0, 0.0, 0.0)))
-        aminus = tuple(block.get("aminus", (0.0, 0.0, 0.0)))
-        if len(aplus) != 3 or len(aminus) != 3:
-            raise ConfigError("aplus/aminus need three components")
-        return abelian_connection(s, float(block.get("t0", 1.0)),
-                                  aplus, aminus)
-    except ConfigError:
-        raise
+            return flat_pid(s, block.get("sign", 1))
+        return abelian_connection(s, block.get("t0", 1.0),
+                                  block.get("aplus", (1.0, 0.0, 0.0)),
+                                  block.get("aminus", (0.0, 0.0, 0.0)))
     except ValueError as exc:
         raise ConfigError("family: %s" % exc)
 
@@ -246,14 +268,6 @@ class _Outputs:
                 os.remove(p)
 
 
-def _solution_grid(sol, solver, n):
-    lo = max(sol.valid[0], 1e-2)
-    hi = min(sol.valid[1], float(solver["t_end"]))
-    if not hi > lo:
-        return None
-    return np.linspace(lo, hi, int(n))
-
-
 def _echo_malgrange(rep):
     eig = ", ".join("%.6g" % v for v in np.sort(rep.eigenvalues.real))
     print("boundary gate %s: |M_-1(y0)| = %.3e, eigenvalues [%s], tol %g"
@@ -267,13 +281,12 @@ def cmd_structure(cfg):
         s = build_structure(cfg["structure"])
         jpath = out.path("structure.json")
         save_structure(s, jpath)
-        hi = min(s.t_max, float(cfg["solver"]["t_end"]))
-        ts = np.linspace(0.0, hi, int(cfg["outputs"]["grid"]))
+        hi = min(s.t_max, cfg["solver"]["t_end"])
+        ts = np.linspace(0.0, hi, cfg["outputs"]["grid"])
         ppath = out.path("profile.csv")
         with open(ppath, "w", newline="\n") as fh:
             fh.write("t,A1,A2,A3,B1,B2,B3\n")
-            for t in ts:
-                t = float(t)
+            for t in ts.tolist():
                 row = ([t] + [s.A[i](t) for i in range(3)]
                        + [s.B[i](t) for i in range(3)])
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
@@ -305,12 +318,13 @@ def cmd_solve(cfg):
     rep = sol.extras.get("check") if sol.extras else None
     if rep is not None:
         _echo_malgrange(rep)
+    lo, hi = max(sol.valid[0], 1e-2), min(sol.valid[1], solver["t_end"])
     try:
-        ts = _solution_grid(sol, solver, cfg["outputs"]["grid"])
-        if ts is None:
+        if not hi > lo:
             raise ConfigError("empty sample range: solution valid to %g"
                               % sol.valid[1])
-        solution_to_csv(sol, cpath, ts=ts)
+        solution_to_csv(sol, cpath,
+                        ts=np.linspace(lo, hi, cfg["outputs"]["grid"]))
     except Exception:
         out.discard()
         raise
@@ -318,7 +332,7 @@ def cmd_solve(cfg):
     if sol.trajectory is not None:
         for kind, te in sol.trajectory.events:
             print("event %s at t = %.6g" % (kind, te))
-    hi_req = min(float(solver["t_end"]), s.t_max)
+    hi_req = min(solver["t_end"], s.t_max)
     if sol.valid[1] < hi_req * (1 - 1e-9):
         print("stopped at t = %.6g before t_end = %g"
               % (sol.valid[1], hi_req), file=sys.stderr)
@@ -328,10 +342,9 @@ def cmd_solve(cfg):
 
 def _scan_values(block, n):
     if "values" in block:
-        vals = [float(v) for v in block["values"]]
+        vals = block["values"]
     elif "lo" in block and "hi" in block:
-        vals = [float(v) for v in
-                np.linspace(float(block["lo"]), float(block["hi"]), int(n))]
+        vals = np.linspace(block["lo"], block["hi"], n).tolist()
     else:
         raise ConfigError("scan needs family.values or family.lo/hi")
     if not vals:
@@ -341,16 +354,10 @@ def _scan_values(block, n):
 
 def _scan_point(s, block, solver, param, value):
     """One row of the summary: existence, event times, sup residual."""
-    member = dict(block)
-    member.pop("param", None)
-    member.pop("values", None)
-    member.pop("lo", None)
-    member.pop("hi", None)
-    member[param] = value
-    t_req = min(float(solver["t_end"]), s.t_max)
+    t_req = min(solver["t_end"], s.t_max)
     nan = float("nan")
     try:
-        sol = build_family(s, member, solver)
+        sol = build_family(s, dict(block, **{param: value}), solver)
     except (ConfigError, PreconditionError, IntegrationError):
         return (value, False, nan, nan, nan)
     blow = sol.trajectory.event_times("blow-up") if sol.trajectory else []
@@ -362,9 +369,9 @@ def _scan_point(s, block, solver, param, value):
     sup = nan
     if hi > lo * (1 + 1e-9):
         sup = 0.0
-        for t in np.geomspace(lo, hi, 25):
+        for t in np.geomspace(lo, hi, 25).tolist():
             try:
-                sup = max(sup, residual_pointwise(s, sol, float(t)))
+                sup = max(sup, residual_pointwise(s, sol, t))
             except ValueError:
                 pass
     return (value, exists, min(blow) if blow else nan,
@@ -375,12 +382,9 @@ def cmd_scan(cfg):
     out = _Outputs(cfg["outputs"]["dir"])
     solver = cfg["solver"]
     block = cfg["family"]
-    kind = _canon(block.get("kind", "theta_x1"))
-    param = block.get("param") or _SCAN_PARAMS.get(kind)
+    param = block.get("param") or _SCAN_PARAMS.get(block["kind"])
     if param is None:
-        raise ConfigError("no scan parameter for family %r" % kind)
-    if param not in ("x1", "y0", "t0", "sign"):
-        raise ConfigError("cannot scan parameter %r" % param)
+        raise ConfigError("no scan parameter for family %r" % block["kind"])
     values = _scan_values(block, cfg["outputs"]["grid"])
     try:
         workers = int(os.environ.get("G2FLOW_THREADS", "0") or "0")
@@ -408,30 +412,6 @@ def cmd_scan(cfg):
     print("wrote %s (%d points, %d reach t_end)"
           % (spath, len(rows), n_ok))
     return EXIT_OK
-
-
-def _load_thresholds(path):
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise ConfigError("threshold file %r does not exist" % path)
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError("threshold file is not valid JSON: %s" % exc)
-    if not isinstance(doc, dict):
-        raise ConfigError("threshold file must be a JSON object")
-    unknown = set(doc) - {"residual"}
-    if unknown:
-        raise ConfigError("unknown threshold keys: %s" % sorted(unknown))
-    out = {}
-    for key, val in doc.items():
-        val = float(val)
-        if not val > 0:
-            raise ConfigError("threshold %r must be positive" % key)
-        out[key] = val
-    return out
 
 
 def cmd_verify(cfg, thresholds=None):
@@ -483,8 +463,7 @@ def build_parser():
 
     ps = sub.add_parser("structure", parents=[common],
                         help="build a structure, export JSON + profile CSV")
-    ps.add_argument("--kind", choices=["bryant-salamon", "bryant_salamon",
-                                       "su23", "linear", "file"])
+    ps.add_argument("--kind", type=_canon, choices=_STRUCTURE_KINDS)
     ps.add_argument("--r-max", dest="r_max", type=float)
     ps.add_argument("--b0", type=float)
     ps.add_argument("--a3", type=float)
@@ -495,10 +474,7 @@ def build_parser():
 
     pv = sub.add_parser("solve", parents=[common, struct_flags],
                         help="solve one family member, export CSV")
-    pv.add_argument("--family", choices=["theta-x1", "theta_x1",
-                                         "theta-zero", "theta_zero",
-                                         "theta-y0", "theta_y0",
-                                         "flat-pid", "flat_pid", "abelian"])
+    pv.add_argument("--family", type=_canon, choices=_FAMILY_KINDS)
     pv.add_argument("--x1", type=float)
     pv.add_argument("--y0", type=float)
     pv.add_argument("--sign", type=int, choices=[1, -1])
@@ -509,8 +485,7 @@ def build_parser():
 
     pc = sub.add_parser("scan", parents=[common, struct_flags],
                         help="sweep one family parameter")
-    pc.add_argument("--family", choices=["theta-x1", "theta_x1",
-                                         "theta-y0", "theta_y0", "abelian"])
+    pc.add_argument("--family", type=_canon, choices=tuple(_SCAN_PARAMS))
     pc.add_argument("--param", choices=["x1", "y0", "t0"])
     pc.add_argument("--values", metavar="V1,V2,...")
     pc.add_argument("--lo", type=float)
@@ -526,20 +501,21 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = merged_config(args)
-        _structure_flags_into(cfg, args)
-        if args.handler in ("solve", "scan"):
-            _family_flags_into(cfg, args)
         if args.handler == "structure":
             return cmd_structure(cfg)
         if args.handler == "solve":
             return cmd_solve(cfg)
         if args.handler == "scan":
             return cmd_scan(cfg)
-        return cmd_verify(cfg, _load_thresholds(args.thresholds))
+        thresholds = {}
+        if args.thresholds is not None:
+            thresholds = _typed(load_config(args.thresholds, _THRESHOLD_KEYS,
+                                            "threshold"),
+                                _THRESHOLD_KEYS, "thresholds.")
+        return cmd_verify(cfg, thresholds)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ from .algebra import ConnectionCoeffs
 from .singular_ivp import (EventSpec, SingularIVP, blowup_event, integrate,
                            malgrange_check, series_bootstrap, series_handoff,
                            solve_boundary)
-from .structures import CYC0, coefficient_functions
+from .structures import CYC0, _positive_finite, coefficient_functions
 
 BLOWUP_THRESHOLD = 1e8
 SOLUTION_SERIES_CUTOFF = 1e-3
@@ -327,6 +328,11 @@ def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13):
     """
     _require_symmetric(s)
     y0 = float(y0)
+    if not math.isfinite(y0):
+        raise ValueError("y0 must be finite")
+    eps, tol = _positive_finite("eps", eps), _positive_finite("tol", tol)
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise ValueError("order must be an integer >= 0")
     A1, B1 = s.A[0], s.B[0]
     hi = min(float(t_end), s.t_max)
     if not eps < hi:

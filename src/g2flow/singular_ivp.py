@@ -10,7 +10,8 @@ integrator away from the singularity (solve_singular).
 
 M_{-1} and M must be written with generic arithmetic on the components of
 y (and on t), because the bootstrap evaluates them on truncated power
-series to read off Taylor coefficients of the composition.
+series to read off Taylor coefficients of the composition; M is
+evaluated at the variable-t series ps_var(order).
 """
 
 from __future__ import annotations

@@ -62,6 +62,7 @@ class StructureData:
         self.t_max = float(t_max)
         self.symmetric = bool(symmetric)
         self._cache = {}
+        self._last = (None, None)
         for s in self.A_series:
             if abs(s[1] - 0.5) > 1e-9:
                 raise ValueError("A_i series must start t/2")
@@ -74,14 +75,21 @@ class StructureData:
 
         Each distinct evaluator is called once: a symmetric structure
         (whose three evaluators in each tuple agree) evaluates index 0
-        and repeats the value.
+        and repeats the value.  The last (t, frame) is kept as one tuple,
+        replaced in a single assignment, like CoefficientFns._direct.
         """
+        last = self._last
+        if last[0] == t:
+            return last[1]
         if self.symmetric:
             a, b = self.A[0](t), self.B[0](t)
             da, db = self.dA[0](t), self.dB[0](t)
-            return (a,) * 3, (b,) * 3, (da,) * 3, (db,) * 3
-        return tuple(tuple(f(t) for f in fns)
-                     for fns in (self.A, self.B, self.dA, self.dB))
+            values = (a,) * 3, (b,) * 3, (da,) * 3, (db,) * 3
+        else:
+            values = tuple(tuple(f(t) for f in fns)
+                           for fns in (self.A, self.B, self.dA, self.dB))
+        self._last = (t, values)
+        return values
 
     @property
     def a3(self):
@@ -102,6 +110,14 @@ def _positive_finite(name, value):
     if not (value > 0 and math.isfinite(value)):
         raise ValueError("%s must be positive and finite" % name)
     return value
+
+
+def _in_range(t, t_max):
+    """t, after checking that it lies in [0, t_max (1 + 1e-9)]."""
+    if not 0.0 <= t <= t_max * (1 + 1e-9):
+        raise ValueError("t=%g outside the profile range [0, %g]"
+                         % (t, t_max))
+    return t
 
 
 def b2_from_data(b0, a3):
@@ -172,13 +188,9 @@ def make_bryant_salamon(r_max=60.0):
         raise RuntimeError("radial coordinate failed to reach r_max")
     t_max = float(sol.t_events[0][0])
     dense = sol.sol
-    t_hi = t_max * (1 + 1e-9)
 
     def wof(t):
-        if not 0.0 <= t <= t_hi:
-            raise ValueError("t=%g outside the profile range [0, %g]"
-                             % (t, t_max))
-        return float(dense(t)[0])
+        return float(dense(_in_range(t, t_max))[0])
 
     def A1(t):
         w = wof(t)
@@ -302,7 +314,7 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
         return t * t * math.exp(float(J)) * (c0 + float(q2))
 
     def B1(t):
-        if t <= 0.0:
+        if _in_range(t, horizon) == 0.0:
             return b0
         return math.sqrt(Pfun(t)) / a1(t)
 
@@ -325,7 +337,7 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
     dB_ps = B_ps.deriv()
 
     def dB1(t):
-        if t < COEFF_SERIES_CUTOFF:
+        if _in_range(t, horizon) < COEFF_SERIES_CUTOFF:
             return dB_ps(t)
         a = a1(t)
         P = Pfun(t)
@@ -344,9 +356,9 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
 
 class _RegularFn:
     """Analytic scalar function of t: Taylor polynomial below a cutoff,
-    closed-form evaluator above it.  Accepts a PowerSeries argument, in
-    which case the polynomial part is composed (used by the series
-    bootstrap)."""
+    closed-form evaluator above it.  At the variable-t series ps_var(n),
+    which the series bootstrap passes, it returns the polynomial
+    truncated to order n; other series are rejected."""
 
     __slots__ = ("poly", "direct", "cutoff")
 
@@ -356,7 +368,11 @@ class _RegularFn:
         self.cutoff = cutoff
 
     def __call__(self, t):
-        if isinstance(t, PowerSeries) or abs(t) < self.cutoff:
+        if isinstance(t, PowerSeries):
+            if t != ps_var(t.order):
+                raise ValueError("only the variable-t series is supported")
+            return PowerSeries(self.poly, order=t.order)
+        if abs(t) < self.cutoff:
             return self.poly(t)
         return self.direct(t)
 
@@ -601,10 +617,10 @@ def structure_from_json(doc):
             else ai.derivative()
         dbi = _clamped_spline(ts, dbv, None) if dbv is not None \
             else bi.derivative()
-        A.append(lambda t, f=ai: float(f(t)))
-        B.append(lambda t, f=bi: float(f(t)))
-        dA.append(lambda t, f=dai: float(f(t)))
-        dB.append(lambda t, f=dbi: float(f(t)))
+        A.append(lambda t, f=ai: float(f(_in_range(t, t_max))))
+        B.append(lambda t, f=bi: float(f(_in_range(t, t_max))))
+        dA.append(lambda t, f=dai: float(f(_in_range(t, t_max))))
+        dB.append(lambda t, f=dbi: float(f(_in_range(t, t_max))))
 
     series = doc.get("series")
     if series is not None:

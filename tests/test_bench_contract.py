@@ -2,6 +2,7 @@
 by module attribute; a refactor that removes one breaks it silently."""
 
 import contextlib
+import json
 import pathlib
 
 import g2flow
@@ -37,4 +38,20 @@ def test_perfbench_tracer_sees_profile_and_coefficient_layers(monkeypatch):
         structures.coefficient_functions(s).phi[0](1.0)
     layers = tr.layers()
     for name in ("structures.profile", "structures.coeff"):
+        assert layers.get(name, (0,))[0] > 0, name
+
+
+def test_perfbench_tracer_sees_cli_builders(monkeypatch, tmp_path):
+    # cli must look its builders up as module attributes at call time;
+    # binding them at import time would zero the per-layer metrics
+    tracing = _tracing(monkeypatch)
+    cfg = tmp_path / "lin.json"
+    cfg.write_text(json.dumps({"structure": {"kind": "linear"}}))
+    tr = tracing.Tracer()
+    with contextlib.ExitStack() as stack:
+        tracing.install(tr, stack)
+        assert cli.main(["solve", "--family", "theta-x1", "--config",
+                         str(cfg), "--out", str(tmp_path / "out")]) == 0
+    layers = tr.layers()
+    for name in ("structures.build", "instantons.theta_x1"):
         assert layers.get(name, (0,))[0] > 0, name

@@ -5,8 +5,9 @@ import numpy as np
 
 import pytest
 
-from g2flow.cli import main
-from g2flow.instantons import abelian_connection, theta_x1, theta_zero
+from g2flow.cli import build_parser, main
+from g2flow.instantons import (abelian_connection, theta_x1, theta_y0,
+                               theta_zero)
 from g2flow.structures import (make_bryant_salamon, make_linear_example,
                                make_su23_structure, save_structure)
 
@@ -96,6 +97,20 @@ NONFINITE = {
                 None),
     "threads-not-int": (["scan", "--family", "theta-x1", "--values", "1"],
                         "abc", None),
+    "theta-y0-y0-nan": (["solve", "--family", "theta-y0", "--y0", "nan"],
+                        None, lambda lin: theta_y0(lin, NAN)),
+    "theta-y0-y0-inf": (["solve", "--family", "theta-y0", "--y0", "inf"],
+                        None, lambda lin: theta_y0(lin, INF)),
+    "theta-y0-eps-inf": (["solve", "--family", "theta-y0", "--eps", "inf"],
+                         None, lambda lin: theta_y0(lin, 0.5, eps=INF)),
+    "theta-y0-eps-zero": (["solve", "--family", "theta-y0", "--eps", "0"],
+                          None, lambda lin: theta_y0(lin, 0.5, eps=0.0)),
+    "theta-y0-tol-inf": (["solve", "--family", "theta-y0", "--y0", "0.5",
+                          "--tol", "inf"], None,
+                         lambda lin: theta_y0(lin, 0.5, tol=INF)),
+    "theta-y0-tol-negative": (["solve", "--family", "theta-y0", "--tol",
+                               "-1"], None,
+                              lambda lin: theta_y0(lin, 0.5, tol=-1.0)),
 }
 
 
@@ -109,6 +124,86 @@ def test_rejects_nonfinite(case, lin, tmp_path, monkeypatch):
         monkeypatch.setenv("G2FLOW_THREADS", threads)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, 10.0])
+def test_theta_y0_rejects_bad_order(lin, order):
+    with pytest.raises(ValueError, match="order must be an integer"):
+        theta_y0(lin, 0.5, order=order)
+
+
+# id: (argv, config document, thresholds document, key the error names);
+# each passed bad values at the parent: exit 0 with NaN rows or a
+# truncated order, or a traceback with exit 1
+BAD_INPUT = {
+    "scan-hi-nan": (["scan", "--family", "theta-x1", "--lo", "0", "--hi",
+                     "nan", "--grid", "3"], None, None, "family.hi"),
+    "scan-values-nan": (["scan", "--family", "theta-x1", "--values",
+                         "1,nan"], None, None, "family.values"),
+    "scan-abelian-values-nan": (["scan", "--family", "abelian", "--values",
+                                 "1,nan"], None, None, "family.values"),
+    "grid-not-a-number": (["solve"], {"outputs": {"grid": "abc"}}, None,
+                          "outputs.grid"),
+    "tol-not-a-number": (["solve"], {"solver": {"tol": "abc"}}, None,
+                         "solver.tol"),
+    "aplus-not-a-list": (["solve"], {"family": {"kind": "abelian",
+                                                "aplus": 5}}, None,
+                         "family.aplus"),
+    "order-negative": (["solve"], {"solver": {"order": -1},
+                                   "family": {"kind": "theta_y0"}}, None,
+                       "solver.order"),
+    "order-fraction": (["solve"], {"solver": {"order": 2.5},
+                                   "family": {"kind": "theta_y0"}}, None,
+                       "solver.order"),
+    "threshold-not-a-number": (["verify"], None, {"residual": "abc"},
+                               "thresholds.residual"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
+    argv, config, thresholds, key = BAD_INPUT[case]
+    monkeypatch.setenv("G2FLOW_THREADS", "2")
+    argv = list(argv)
+    for flag, doc in (("--config", config), ("--thresholds", thresholds)):
+        if doc is not None:
+            path = tmp_path / (flag[2:] + ".json")
+            path.write_text(json.dumps(doc))
+            argv += [flag, str(path)]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert key in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert list(out.iterdir()) == []
+
+
+def test_config_values_string_parses_like_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    runs = {"file": ({"kind": "theta_x1", "values": "1,2"}, []),
+            "flag": ({}, ["--family", "theta-x1", "--values", "1,2"])}
+    for name, (family, flags) in runs.items():
+        cfg.write_text(json.dumps({"structure": {"kind": "linear"},
+                                   "family": family}))
+        (tmp_path / name).mkdir()
+        assert main(["scan", "--config", str(cfg), "--out",
+                     str(tmp_path / name)] + flags) == 0
+    want = (tmp_path / "flag" / "scan.csv").read_bytes()
+    assert (tmp_path / "file" / "scan.csv").read_bytes() == want
+    assert len(want.splitlines()) == 3
+
+
+def test_kind_flags_accept_both_spellings():
+    for kind in ("bryant-salamon", "bryant_salamon"):
+        args = build_parser().parse_args(["structure", "--kind", kind])
+        assert args.kind == "bryant_salamon"
+    for family in ("theta-x1", "theta_x1"):
+        for command in ("solve", "scan"):
+            args = build_parser().parse_args([command, "--family", family])
+            assert args.family == "theta_x1"
 
 
 def test_t_end_inf_runs_to_t_max(bs, tmp_path):

@@ -6,7 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from g2flow.instantons import p1_ivp, pid_ivp
+from g2flow._series import ps_var
+from g2flow.instantons import p1_ivp, pid_ivp, residual_pointwise, theta_x1
 from g2flow.structures import (SERIES_ORDER, CoefficientFns, PowerSeries,
                                StructureData, b2_from_data,
                                coefficient_functions, load_structure,
@@ -204,8 +205,13 @@ def test_bryant_salamon_r_max_validation():
         make_bryant_salamon(r_max=1.0)
 
 
-def test_bryant_salamon_evaluators_stay_in_range():
+@pytest.mark.parametrize("build", ["bryant-salamon", "json", "su23"])
+def test_bryant_salamon_evaluators_stay_in_range(build):
     s = make_bryant_salamon(5.0)
+    if build == "json":
+        s = structure_from_json(structure_to_json(s, n_samples=201))
+    elif build == "su23":
+        s = make_su23_structure(s, 1.0)
     for fn in (s.A[0], s.B[0], s.dA[0], s.dB[0]):
         fn(0.0)
         fn(s.t_max)
@@ -244,6 +250,26 @@ def test_one_profile_frame_per_t(bs, symmetric, per_t):
         assert calls[0] - before == per_t
         ivp.M(t, [0.2] * 6)
         assert calls[0] - before == per_t
+
+
+def test_residual_reads_one_frame_per_node(bs):
+    # four stencil nodes and the centre, whose coefficient tables share
+    # the centre frame: 5 frames of 4 calls (24 when they reread it)
+    s, calls = _counting_rebuild(bs, True)
+    sol = theta_x1(s, 2.0)
+    for t in (1.0, 3.7):
+        before = calls[0]
+        residual_pointwise(s, sol, t)
+        assert calls[0] - before == 20
+
+
+def test_regular_fn_truncates_at_variable_series(bs):
+    phi = coefficient_functions(bs).phi[0]
+    got = phi(ps_var(8))
+    assert list(got) == list(phi.poly)[:9]
+    for bad in (ps_var(8) * 2.0, ps_var(8) + 0.1, ps_var(8) ** 2):
+        with pytest.raises(ValueError, match="variable-t series"):
+            phi(bad)
 
 
 def test_frame_matches_evaluators_bitwise(bs, lin):

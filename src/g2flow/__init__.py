@@ -18,8 +18,7 @@ from .instantons import (InstantonSolution, abelian_connection,
 from .singular_ivp import (EventSpec, IntegrationError, MalgrangeReport,
                            PreconditionError, SingularIVP, Trajectory,
                            blowup_event, integrate, malgrange_check,
-                           region_exit_event, series_bootstrap,
-                           solve_boundary, solve_singular)
+                           series_bootstrap, solve_boundary, solve_singular)
 from .structures import (CYC0, StructureData, b2_from_data,
                          coefficient_functions, load_structure,
                          make_bryant_salamon, make_linear_example,
@@ -43,7 +42,7 @@ __all__ = [
     "flat_pid", "integrate", "invariance_report", "load_structure",
     "make_bryant_salamon", "make_linear_example", "make_su23_structure",
     "malgrange_check", "oracle_report", "p1_ivp", "parity_report",
-    "pid_ivp", "random_rational_connection", "region_exit_event",
+    "pid_ivp", "random_rational_connection",
     "report_to_json", "reports_to_csv", "residual_pointwise",
     "residual_report", "save_structure", "series_bootstrap",
     "solution_to_csv", "solve_boundary", "solve_singular",

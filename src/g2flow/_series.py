@@ -215,10 +215,9 @@ class PowerSeries:
         return out
 
 
-def ps_var(order, one=1.0):
+def ps_var(order):
     """The series of the independent variable t itself."""
-    z = 0 * one
-    return PowerSeries([z, one], order=order)
+    return PowerSeries([0.0, 1.0], order=order)
 
 
 def ps_const(value, order):

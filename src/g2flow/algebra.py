@@ -73,22 +73,12 @@ class Su2Vec:
         return max(abs(float(a)) for a in self.x)
 
     @staticmethod
-    def zero(like=0):
-        z = 0 * like if like else 0
-        return Su2Vec(z, z, z)
-
-    @staticmethod
     def basis(i, one=1):
         """T_i for i in 1..3."""
         z = 0 * one
         x = [z, z, z]
         x[i - 1] = one
         return Su2Vec(*x)
-
-
-def T(i):
-    """Exact basis vector T_i (integer components)."""
-    return Su2Vec.basis(i, 1)
 
 
 def bracket(u, v):
@@ -335,10 +325,10 @@ def constraint_value(conn, structure, t):
     return total
 
 
-def random_rational_connection(rng, max_den=9):
+def random_rational_connection(rng):
     """Pseudo-random ConnectionCoeffs with small Fraction entries."""
     def frac():
-        return Fraction(rng.randrange(-9, 10), rng.randrange(1, max_den + 1))
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
 
     def vec():
         return Su2Vec(frac(), frac(), frac())

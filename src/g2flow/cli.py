@@ -26,7 +26,7 @@ import numpy as np
 from ._series import PowerSeries
 from .instantons import (abelian_connection, flat_pid, residual_pointwise,
                          solution_to_csv, theta_x1, theta_y0, theta_zero)
-from .singular_ivp import IntegrationError, PreconditionError
+from .singular_ivp import RTOL_FLOOR, IntegrationError, PreconditionError
 from .structures import (coefficient_functions, load_structure,
                          make_bryant_salamon, make_linear_example,
                          make_su23_structure, save_structure)
@@ -74,6 +74,14 @@ def _positive(v, inf_ok=False):
     if not (v > 0 and (inf_ok or math.isfinite(v))):
         raise ValueError("must be positive%s, got %r"
                          % ("" if inf_ok else " and finite", v))
+    return v
+
+
+def _tolerance(v):
+    v = _positive(v)
+    if v < RTOL_FLOOR:
+        raise ValueError("must be at least %.3g (100 machine epsilons), "
+                         "got %r" % (RTOL_FLOOR, v))
     return v
 
 
@@ -130,7 +138,7 @@ CONFIG_KEYS = {
                "aplus": _three_reals, "aminus": _three_reals,
                "param": _choice(("x1", "y0", "t0", "sign")),
                "values": _reals, "lo": _real, "hi": _real},
-    "solver": {"eps": _positive, "order": _integer(0), "tol": _positive,
+    "solver": {"eps": _positive, "order": _integer(0), "tol": _tolerance,
                "t_end": lambda v: _positive(v, inf_ok=True)},
     "outputs": {"dir": _text, "grid": _integer(2)},
 }
@@ -247,7 +255,8 @@ def build_family(s, block, solver):
 
 
 class _Outputs:
-    """Tracks files written by one command so partials can be removed."""
+    """Files written by one command; a context manager that removes them
+    when the command raises, so no partial output is left behind."""
 
     def __init__(self, dirpath):
         self.dir = dirpath or "."
@@ -262,10 +271,15 @@ class _Outputs:
             self.created.append(p + ".json")
         return p
 
-    def discard(self):
-        for p in self.created:
-            if os.path.exists(p):
-                os.remove(p)
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for p in self.created:
+                if os.path.exists(p):
+                    os.remove(p)
+        return False
 
 
 def _echo_malgrange(rep):
@@ -275,39 +289,30 @@ def _echo_malgrange(rep):
              eig, rep.tol))
 
 
-def cmd_structure(cfg):
-    out = _Outputs(cfg["outputs"]["dir"])
-    try:
-        s = build_structure(cfg["structure"])
-        jpath = out.path("structure.json")
-        save_structure(s, jpath)
-        hi = min(s.t_max, cfg["solver"]["t_end"])
-        ts = np.linspace(0.0, hi, cfg["outputs"]["grid"])
-        ppath = out.path("profile.csv")
-        with open(ppath, "w", newline="\n") as fh:
-            fh.write("t,A1,A2,A3,B1,B2,B3\n")
-            for t in ts.tolist():
-                row = ([t] + [s.A[i](t) for i in range(3)]
-                       + [s.B[i](t) for i in range(3)])
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
-    except Exception:
-        out.discard()
-        raise
+def cmd_structure(cfg, out):
+    s = build_structure(cfg["structure"])
+    jpath = out.path("structure.json")
+    save_structure(s, jpath)
+    hi = min(s.t_max, cfg["solver"]["t_end"])
+    ts = np.linspace(0.0, hi, cfg["outputs"]["grid"])
+    ppath = out.path("profile.csv")
+    with open(ppath, "w", newline="\n") as fh:
+        fh.write("t,A1,A2,A3,B1,B2,B3\n")
+        for t in ts.tolist():
+            row = ([t] + [s.A[i](t) for i in range(3)]
+                   + [s.B[i](t) for i in range(3)])
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
     print("wrote %s" % jpath)
     print("wrote %s" % ppath)
     return EXIT_OK
 
 
-def cmd_solve(cfg):
-    out = _Outputs(cfg["outputs"]["dir"])
+def cmd_solve(cfg, out):
     solver = cfg["solver"]
     s = build_structure(cfg["structure"])
     cpath = out.path("solution.csv", sidecar=True)
     try:
         sol = build_family(s, cfg["family"], solver)
-    except PreconditionError as exc:
-        print("gate failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
     except IntegrationError as exc:
         traj = exc.trajectory
         if traj is not None:
@@ -319,15 +324,10 @@ def cmd_solve(cfg):
     if rep is not None:
         _echo_malgrange(rep)
     lo, hi = max(sol.valid[0], 1e-2), min(sol.valid[1], solver["t_end"])
-    try:
-        if not hi > lo:
-            raise ConfigError("empty sample range: solution valid to %g"
-                              % sol.valid[1])
-        solution_to_csv(sol, cpath,
-                        ts=np.linspace(lo, hi, cfg["outputs"]["grid"]))
-    except Exception:
-        out.discard()
-        raise
+    if not hi > lo:
+        raise ConfigError("empty sample range: solution valid to %g"
+                          % sol.valid[1])
+    solution_to_csv(sol, cpath, np.linspace(lo, hi, cfg["outputs"]["grid"]))
     print("wrote %s (+ sidecar)" % cpath)
     if sol.trajectory is not None:
         for kind, te in sol.trajectory.events:
@@ -378,8 +378,7 @@ def _scan_point(s, block, solver, param, value):
             min(exits) if exits else nan, sup)
 
 
-def cmd_scan(cfg):
-    out = _Outputs(cfg["outputs"]["dir"])
+def cmd_scan(cfg, out):
     solver = cfg["solver"]
     block = cfg["family"]
     param = block.get("param") or _SCAN_PARAMS.get(block["kind"])
@@ -394,39 +393,30 @@ def cmd_scan(cfg):
         workers = min(4, os.cpu_count() or 1)
     s = build_structure(cfg["structure"])
     coefficient_functions(s)
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda v: _scan_point(s, block, solver, param, v), values))
-        spath = out.path("scan.csv")
-        with open(spath, "w", newline="\n") as fh:
-            fh.write("param,exists_to_t_end,blowup_t,exit_t,sup_residual\n")
-            for value, exists, blow, exit_t, sup in rows:
-                fh.write("%.17g,%s,%.17g,%.17g,%.17g\n"
-                         % (value, "true" if exists else "false",
-                            blow, exit_t, sup))
-    except Exception:
-        out.discard()
-        raise
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(
+            lambda v: _scan_point(s, block, solver, param, v), values))
+    spath = out.path("scan.csv")
+    with open(spath, "w", newline="\n") as fh:
+        fh.write("param,exists_to_t_end,blowup_t,exit_t,sup_residual\n")
+        for value, exists, blow, exit_t, sup in rows:
+            fh.write("%.17g,%s,%.17g,%.17g,%.17g\n"
+                     % (value, "true" if exists else "false",
+                        blow, exit_t, sup))
     n_ok = sum(1 for r in rows if r[1])
     print("wrote %s (%d points, %d reach t_end)"
           % (spath, len(rows), n_ok))
     return EXIT_OK
 
 
-def cmd_verify(cfg, thresholds=None):
-    out = _Outputs(cfg["outputs"]["dir"])
+def cmd_verify(cfg, out, thresholds):
     s = build_structure(cfg["structure"])
-    reports = default_battery(
-        s, residual_threshold=(thresholds or {}).get("residual"))
-    try:
-        for rep in reports:
-            slug = re.sub(r"[^A-Za-z0-9._=-]+", "_", rep.name)
-            report_to_json(rep, out.path("report-%s.json" % slug))
-        reports_to_csv(reports, out.path("verify.csv"))
-    except Exception:
-        out.discard()
-        raise
+    reports = default_battery(s,
+                              residual_threshold=thresholds.get("residual"))
+    for rep in reports:
+        slug = re.sub(r"[^A-Za-z0-9._=-]+", "_", rep.name)
+        report_to_json(rep, out.path("report-%s.json" % slug))
+    reports_to_csv(reports, out.path("verify.csv"))
     failures = []
     for rep in reports:
         print("%s %s" % ("PASS" if rep.passed else "FAIL", rep.name))
@@ -504,18 +494,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = merged_config(args)
-        if args.handler == "structure":
-            return cmd_structure(cfg)
-        if args.handler == "solve":
-            return cmd_solve(cfg)
-        if args.handler == "scan":
-            return cmd_scan(cfg)
         thresholds = {}
-        if args.thresholds is not None:
+        if getattr(args, "thresholds", None) is not None:
             thresholds = _typed(load_config(args.thresholds, _THRESHOLD_KEYS,
                                             "threshold"),
                                 _THRESHOLD_KEYS, "thresholds.")
-        return cmd_verify(cfg, thresholds)
+        with _Outputs(cfg["outputs"]["dir"]) as out:
+            if args.handler == "structure":
+                return cmd_structure(cfg, out)
+            if args.handler == "solve":
+                return cmd_solve(cfg, out)
+            if args.handler == "scan":
+                return cmd_scan(cfg, out)
+            return cmd_verify(cfg, out, thresholds)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -40,7 +40,8 @@ from .algebra import ConnectionCoeffs
 from .singular_ivp import (EventSpec, SingularIVP, blowup_event, integrate,
                            malgrange_check, series_bootstrap, series_handoff,
                            solve_boundary)
-from .structures import CYC0, _positive_finite, coefficient_functions
+from .structures import (CYC0, _in_range, _positive_finite,
+                         coefficient_functions)
 
 BLOWUP_THRESHOLD = 1e8
 SOLUTION_SERIES_CUTOFF = 1e-3
@@ -73,9 +74,6 @@ class InstantonSolution:
         if t < lo or t > hi * (1 + 1e-9):
             raise ValueError("t=%g outside validity (%g, %g]" % (t, lo, hi))
         return np.asarray(self.f6(t), dtype=float)
-
-    def connection(self, t):
-        return connection_at(self, t)
 
 
 def connection_at(sol, t):
@@ -125,12 +123,12 @@ def _eq_data(s, t_need):
     Q_ps = E_ps.integ()
 
     def E(t):
-        if t <= 0.0:
+        if _in_range(t, horizon) == 0.0:
             return 0.0
         return t * math.exp(-float(dense(t)[0]))
 
     def Q(t):
-        if t <= 0.0:
+        if _in_range(t, horizon) == 0.0:
             return 0.0
         return float(dense(t)[1])
 
@@ -163,8 +161,7 @@ def _theta_core(s, x_eval, dx_eval, A1x_ps, family, params):
             return dA1x_ps(t)
         return s.dA[0](t) * x_eval(t) + s.A[0](t) * dx_eval(t)
 
-    extras = {"x": x_eval, "dx": dx_eval, "A1x": A1x, "dA1x": dA1x,
-              "A1x_series": A1x_ps, "A_series": s.A_series[0]}
+    extras = {"x": x_eval, "A1x": A1x, "dA1x": dA1x}
     return InstantonSolution(family=family, params=params, bundle="P1"
                              if family == "theta_x1" else "Pid",
                              structure=s, f6=f6, valid=(0.0, s.t_max),
@@ -371,13 +368,14 @@ def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13):
             x, y = x_small(t), y_small(t)
         else:
             z = traj(t)
-            x, y = z[0] / A1(t), z[1] / B1(t)
+            A, B, _, _ = s.frame(t)
+            x, y = z[0] / A[0], z[1] / B[0]
         return np.array([x, x, x, y, y, y])
 
     params = {"y0": y0}
     if abs(y0) > 1.0 / s.b0 + 1e-12:
         params["outside_proven_family"] = True
-    extras = {"ivp": ivp, "check": rep, "u_series": u_ps,
+    extras = {"check": rep, "u_series": u_ps,
               "v_series": v_ps, "eps": eps, "handoff_mismatch": mismatch,
               "watched_region": watch_region}
     return InstantonSolution(family="theta_y0", params=params, bundle="Pid",
@@ -555,14 +553,14 @@ def flat_pid(s, sign=1):
                              valid=(0.0, s.t_max))
 
 
-def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0),
-                       t_lo=1e-6):
+def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
     """Diagonal abelian connection fixed by its value at t0.
 
     a_i^+(t) = a_i^+(t0) (t/t0)^2 exp(-int_{t0}^t q_i) and the raw
     companion branch a_i^-(t) = a_i^-(t0) (t0/t)^4 exp(-int_{t0}^t h_i),
     with q_i, h_i the regular parts of the abelian decay rates.  The six
-    slots of f6 hold the connection coefficients themselves.
+    slots of f6 hold the connection coefficients themselves; they are
+    valid on [1e-6, t_max].
     """
     t0 = float(t0)
     if not 0.0 < t0 <= s.t_max:
@@ -577,10 +575,10 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0),
     def rhs(t, y):
         return [r(t) for r in rates]
 
-    hi = s.t_max
+    lo, hi = 1e-6, s.t_max
     sol_up = solve_ivp(rhs, (t0, hi), np.zeros(6), method="DOP853",
                        rtol=3e-13, atol=1e-15, dense_output=True)
-    sol_dn = solve_ivp(rhs, (t0, t_lo), np.zeros(6), method="DOP853",
+    sol_dn = solve_ivp(rhs, (t0, lo), np.zeros(6), method="DOP853",
                        rtol=3e-13, atol=1e-15, dense_output=True)
     if not (sol_up.success and sol_dn.success):
         raise RuntimeError("abelian rate quadrature failed")
@@ -602,8 +600,7 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0),
     return InstantonSolution(
         family="abelian", params={"t0": t0, "aplus_t0": ap0,
                                   "aminus_t0": am0},
-        bundle=bundle, structure=s, f6=f6, valid=(t_lo, hi),
-        extras={"raw_minus_branch": any(v != 0.0 for v in am0)})
+        bundle=bundle, structure=s, f6=f6, valid=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -627,37 +624,39 @@ def _stencil_nodes(t, h, lo, hi):
     raise ValueError("no stencil fits the validity interval at t=%g" % t)
 
 
-def residual_pointwise(s, sol, t, h_rel=1e-5):
+def residual_pointwise(s, sol, t):
     """Sup norm of the six-equation defect at t.
 
-    Derivatives are estimated by five-point stencils on the bounded
-    products A_i f_i^+ and B_i f_i^-, then converted back with the exact
-    profile derivatives; this keeps the estimator usable down to small t
-    where the raw profiles grow like 1/t.  Abelian members are measured
-    against their decoupled rate equations, stencils on the slots
-    themselves.
+    Derivatives are estimated by five-point stencils (step 1e-5 max(t, 1))
+    on the bounded products A_i f_i^+ and B_i f_i^-, then converted back
+    with the exact profile derivatives; this keeps the estimator usable
+    down to small t where the raw profiles grow like 1/t.  Abelian members
+    are measured against their decoupled rate equations, stencils on the
+    slots themselves.  Each node reads its profiles and its frame
+    together, the centre last, so one frame per node is evaluated.
     """
     cf = coefficient_functions(s)
-    h = h_rel * max(t, 1.0)
+    h = 1e-5 * max(t, 1.0)
     lo, hi = sol.valid
     offs, wts = _stencil_nodes(t, h, lo, hi)
     ts = [t + o * h for o in offs]
-    fvals = [sol.coefficients(x) for x in ts]
-    f = sol.coefficients(t)
     r = np.empty(6)
     if sol.family == "abelian":
-        df = np.array(fvals).T.dot(wts) / h
+        df = np.array([sol.coefficients(x) for x in ts]).T.dot(wts) / h
+        f = sol.coefficients(t)
         for i in range(3):
             r[i] = df[i] + (cf.a_plus_rate[i](t) - 2.0 / t) * f[i]
             r[3 + i] = df[3 + i] + (cf.a_minus_rate[i](t) + 4.0 / t) * f[3 + i]
         return float(np.max(np.abs(r)))
     w = np.empty((6, len(ts)))
-    for m, (x, fx) in enumerate(zip(ts, fvals)):
+    for m, x in enumerate(ts):
+        fx = sol.coefficients(x)
         A, B, _, _ = s.frame(x)
         for i in range(3):
             w[i, m] = A[i] * fx[i]
             w[3 + i, m] = B[i] * fx[3 + i]
     dw = w.dot(wts) / h
+    f = sol.coefficients(t)
     A, B, dA, dB = s.frame(t)
     for i, j, k in CYC0:
         dfp = (dw[i] - dA[i] * f[i]) / A[i]
@@ -668,15 +667,12 @@ def residual_pointwise(s, sol, t, h_rel=1e-5):
     return float(np.max(np.abs(r)))
 
 
-def solution_to_csv(sol, path, ts=None):
-    """CSV t,f1p,f2p,f3p,f1m,f2m,f3m,residual_max plus a JSON sidecar."""
+def solution_to_csv(sol, path, ts):
+    """CSV t,f1p,f2p,f3p,f1m,f2m,f3m,residual_max on the times ts, plus a
+    JSON sidecar."""
     s = sol.structure
     if sol.f6 is None:
         raise ValueError("family %r has no profiles to export" % sol.family)
-    if ts is None:
-        lo, hi = sol.valid
-        lo = max(lo, 1e-2)
-        ts = np.linspace(lo, min(hi, 10.0), 101)
     with open(path, "w", newline="\n") as fh:
         fh.write("t,f1p,f2p,f3p,f1m,f2m,f3m,residual_max\n")
         for t in ts:

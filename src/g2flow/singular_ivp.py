@@ -23,6 +23,9 @@ from scipy.integrate import solve_ivp
 
 from ._series import PowerSeries, ps_var
 
+# scipy lifts any smaller rtol to this value and only warns
+RTOL_FLOOR = 100 * np.finfo(float).eps
+
 
 class PreconditionError(ValueError):
     """The solvability gate failed for a singular problem."""
@@ -64,13 +67,13 @@ class MalgrangeReport:
     eig_tol: float
 
 
-def numeric_jacobian(f, y, rel_step=1e-5):
+def numeric_jacobian(f, y):
     """Richardson-extrapolated central differences, accurate to ~1e-11."""
     y = np.asarray(y, dtype=float)
     f0 = np.asarray(f(y), dtype=float)
     J = np.zeros((f0.size, y.size))
     for j in range(y.size):
-        h = rel_step * max(1.0, abs(y[j]))
+        h = 1e-5 * max(1.0, abs(y[j]))
 
         def diff(step):
             yp = y.copy()
@@ -86,8 +89,9 @@ def numeric_jacobian(f, y, rel_step=1e-5):
     return J
 
 
-def malgrange_check(ivp, tol=1e-8, eig_tol=1e-8):
+def malgrange_check(ivp):
     """Gate: M_{-1}(y0) = 0 and no eigenvalue of d M_{-1} is in {1, 2, ...}."""
+    tol = eig_tol = 1e-8
     y0 = np.asarray(ivp.y0, dtype=float)
     r = float(np.max(np.abs(np.asarray(ivp.M_minus1(y0), dtype=float))))
     if ivp.jacobian is not None:
@@ -157,8 +161,9 @@ def series_handoff(ivp, eps, order=8):
     return rep, series, y_eps, mismatch
 
 
-def solve_boundary(M_minus1, seed, jacobian=None, tol=1e-12, max_iter=60):
+def solve_boundary(M_minus1, seed, jacobian=None, max_iter=60):
     """Newton solve of M_{-1}(y) = 0 from a seed guess."""
+    tol = 1e-12
     y = np.asarray(seed, dtype=float).copy()
     for _ in range(max_iter):
         r = np.asarray(M_minus1(y), dtype=float)
@@ -191,11 +196,6 @@ def blowup_event(threshold=1e8):
         return threshold - float(np.max(np.abs(y)))
 
     return EventSpec("blow-up", fn, terminal=True, direction=-1.0)
-
-
-def region_exit_event(fn, kind="region-exit", terminal=False, direction=0.0):
-    """Fires when a user margin function crosses zero."""
-    return EventSpec(kind, fn, terminal=terminal, direction=direction)
 
 
 class Trajectory:
@@ -240,13 +240,18 @@ class Trajectory:
             self.t[-1] if self.t.size else float("nan"), self.events)
 
 
-def integrate(rhs, t_span, y0, tol=1e-10, events=(), t_eval=None, label=""):
+def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
     """Adaptive high-order integration with event recording.
 
     Events are EventSpec instances; terminal ones stop the run.  A margin
     that is already non-positive at t0 is recorded immediately.  Failure
     of the step controller raises IntegrationError with the valid part.
+    tol is the rtol (atol is tol * 1e-3); below RTOL_FLOOR it is rejected.
     """
+    if not tol >= RTOL_FLOOR:
+        raise ValueError("tol=%g is below %.3g, the finite-precision floor "
+                         "of the integrator (100 machine epsilons)"
+                         % (tol, RTOL_FLOOR))
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.asarray(y0, dtype=float)
     evs = list(events)
@@ -269,8 +274,7 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), t_eval=None, label=""):
         wrapped.append(g)
 
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-3, dense_output=True, events=wrapped,
-                    t_eval=t_eval)
+                    atol=tol * 1e-3, dense_output=True, events=wrapped)
     recorded = list(pre)
     for ev, te in zip(evs, sol.t_events):
         recorded.extend((ev.kind, float(x)) for x in te)
@@ -284,18 +288,16 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), t_eval=None, label=""):
     return traj
 
 
-def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=(),
-                   n_series=33):
+def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=()):
     """Series on [0, eps], adaptive continuation on [eps, t_end].
 
-    The handoff is continuous by construction; meta["handoff_mismatch"]
-    is the series_handoff defect at eps.
+    The samples start at eps; the dense evaluator reads the series at
+    t <= eps.  The handoff is continuous by construction;
+    meta["handoff_mismatch"] is the series_handoff defect at eps.
     """
     if not 0.0 < eps < t_end:
         raise ValueError("need 0 < eps < t_end")
     rep, series, y_eps, mismatch = series_handoff(ivp, eps, order=order)
-    ts = np.concatenate([[0.0], np.geomspace(eps / 32.0, eps, n_series - 1)])
-    ys = np.array([[p(t) for t in ts] for p in series])
 
     def rhs(t, y):
         return (np.asarray(ivp.M_minus1(y), dtype=float) / t
@@ -310,10 +312,8 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=(),
             return [p(t) for p in series]
         return dense(t)
 
-    t_all = np.concatenate([ts, traj.t[1:]])
-    y_all = np.concatenate([ys, traj.y[:, 1:]], axis=1)
     meta = {"interp": interp, "series": series, "check": rep,
             "handoff_mismatch": mismatch, "eps": eps,
             "label": ivp.label, "nfev": traj.meta.get("nfev"),
             "success": traj.meta.get("success")}
-    return Trajectory(t_all, y_all, traj.events, meta)
+    return Trajectory(traj.t, traj.y, traj.events, meta)

@@ -253,17 +253,14 @@ def make_linear_example(b0, t_max=1e6):
 
 
 def _unpack_profile(A1):
-    """Accept a StructureData, or a (callable, PowerSeries[, dcallable])
-    tuple."""
+    """Accept a StructureData, or an (A1, PowerSeries, dA1) tuple of two
+    callables and the Taylor series of A1."""
     if isinstance(A1, StructureData):
         return A1.A[0], A1.A_series[0], A1.dA[0], A1.t_max
-    if isinstance(A1, tuple):
-        a1 = A1[0]
-        series = A1[1]
-        da1 = A1[2] if len(A1) > 2 else None
-        return a1, series, da1, math.inf
+    if isinstance(A1, tuple) and len(A1) == 3:
+        return A1 + (math.inf,)
     raise TypeError(
-        "A1 must be a StructureData or (callable, PowerSeries) pair")
+        "A1 must be a StructureData or an (A1, PowerSeries, dA1) tuple")
 
 
 def make_su23_structure(A1, b0, t_max=None, label="su23"):
@@ -273,15 +270,23 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
     which is the quadrature formula for B_1 written base-point free:
     P = t^2 e^{J} (b0^2/4 + int_0^t A^3 e^{-J} eta^-2 d eta) with
     J = int_0^t (1/A - 2/xi) d xi.  The 1/A - 2/t integrand is evaluated
-    by series near 0, direct formula above the cutoff.
+    by series near 0, direct formula above the cutoff.  Every evaluator,
+    the caller's A1 and dA1 included, rejects t outside [0, t_max].
     """
     b0 = _positive_finite("b0", b0)
-    a1, a1_series, da1, t_cap = _unpack_profile(A1)
+    user_a1, a1_series, user_da1, t_cap = _unpack_profile(A1)
     if a1_series.parity != "odd" or abs(a1_series[1] - 0.5) > 1e-9:
         raise ValueError("A1 series must be odd with leading coefficient 1/2")
     horizon = float(t_max if t_max is not None else min(t_cap, 12.0))
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError("no finite t_max available for the A1 profile")
+
+    def a1(t):
+        return user_a1(_in_range(t, horizon))
+
+    def da1(t):
+        return user_da1(_in_range(t, horizon))
+
     _positivity_scan(a1, horizon, "A1")
 
     # pole cancellations in the coefficient deflations eat a few orders,
@@ -325,14 +330,6 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
         upd = (P.shift_down(1) * (1.0 / uA) + A_ps ** 3).integ()
         P = PowerSeries([0.0, 0.0, c0] + list(upd)[3:], order=order + 2)
     B_ps = P.shift_down(2).sqrt() * (1.0 / uA)
-
-    if da1 is None:
-        def da1(t, _ps=A_ps.deriv()):
-            if t < COEFF_SERIES_CUTOFF:
-                return _ps(t)
-            h = 1e-6 * max(t, 1.0)
-            return (a1(t - 2 * h) - 8 * a1(t - h)
-                    + 8 * a1(t + h) - a1(t + 2 * h)) / (12 * h)
 
     dB_ps = B_ps.deriv()
 
@@ -530,10 +527,11 @@ def coefficient_functions(s):
 # JSON export / import
 
 
-def structure_to_json(s, n_samples=1201, t_hi=None):
+def structure_to_json(s, n_samples=1201):
     """Serializable document {label, b0, b2, a3, a5, samples, series,
-    t_max}; samples carry the profile values and their derivatives."""
-    hi = float(t_hi if t_hi is not None else min(s.t_max, 20.0))
+    t_max} on [0, min(t_max, 20)]; samples carry the profile values and
+    their derivatives."""
+    hi = min(s.t_max, 20.0)
     ts = np.linspace(0.0, hi, int(n_samples))
 
     def table(fns):
@@ -566,24 +564,17 @@ _STRUCTURE_KEYS = {"label", "b0", "b2", "a3", "a5", "samples", "series",
 _SAMPLE_KEYS = {"t", "A", "B", "dA", "dB"}
 
 
-def _clamped_spline(ts, vals, dvals):
-    if dvals is not None:
-        bc = ((1, float(dvals[0])), (1, float(dvals[-1])))
-        return CubicSpline(ts, vals, bc_type=bc)
-    return CubicSpline(ts, vals, bc_type="not-a-knot")
-
-
 def structure_from_json(doc):
-    """Rebuild a StructureData from its JSON document.
+    """Rebuild a StructureData from the document structure_to_json writes.
 
     Evaluators use cubic-spline interpolation of the samples (end slopes
-    clamped to the stored derivatives); Taylor data comes from the stored
-    series block, falling back to (b0, b2, a3, a5) for short documents.
+    of A and B clamped to the stored derivatives); Taylor data comes from
+    the series block.
     """
     unknown = set(doc) - _STRUCTURE_KEYS
     if unknown:
         raise ValueError("unknown structure keys: %s" % sorted(unknown))
-    missing = _STRUCTURE_KEYS - {"series"} - set(doc)
+    missing = _STRUCTURE_KEYS - set(doc)
     if missing:
         raise ValueError("missing structure keys: %s" % sorted(missing))
     b0 = _positive_finite("b0", doc["b0"])
@@ -593,9 +584,9 @@ def structure_from_json(doc):
     if len(a3) != 3 or len(a5) != 3:
         raise ValueError("a3 and a5 must have three entries")
     samples = doc["samples"]
-    bad = set(samples) - _SAMPLE_KEYS
-    if bad:
-        raise ValueError("unknown sample keys: %s" % sorted(bad))
+    if set(samples) != _SAMPLE_KEYS:
+        raise ValueError("sample keys must be %s, got %s"
+                         % (sorted(_SAMPLE_KEYS), sorted(samples)))
     ts = np.asarray(samples["t"], dtype=float)
     if ts.ndim != 1 or ts.size < 4 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
         raise ValueError("samples.t must increase strictly from 0")
@@ -605,36 +596,23 @@ def structure_from_json(doc):
 
     A, B, dA, dB = [], [], [], []
     for i in range(3):
-        av = np.asarray(samples["A"][i], dtype=float)
-        bv = np.asarray(samples["B"][i], dtype=float)
-        dav = samples.get("dA", (None,) * 3)[i]
-        dbv = samples.get("dB", (None,) * 3)[i]
+        av, bv, dav, dbv = (np.asarray(samples[key][i], dtype=float)
+                            for key in ("A", "B", "dA", "dB"))
         if np.any(av[1:] <= 0) or np.any(bv <= 0):
             raise ValueError("A_i must be positive for t > 0 and B_i > 0")
-        ai = _clamped_spline(ts, av, dav)
-        bi = _clamped_spline(ts, bv, dbv)
-        dai = _clamped_spline(ts, dav, None) if dav is not None \
-            else ai.derivative()
-        dbi = _clamped_spline(ts, dbv, None) if dbv is not None \
-            else bi.derivative()
+        ai = CubicSpline(ts, av, bc_type=((1, dav[0]), (1, dav[-1])))
+        bi = CubicSpline(ts, bv, bc_type=((1, dbv[0]), (1, dbv[-1])))
+        dai, dbi = CubicSpline(ts, dav), CubicSpline(ts, dbv)
         A.append(lambda t, f=ai: float(f(_in_range(t, t_max))))
         B.append(lambda t, f=bi: float(f(_in_range(t, t_max))))
         dA.append(lambda t, f=dai: float(f(_in_range(t, t_max))))
         dB.append(lambda t, f=dbi: float(f(_in_range(t, t_max))))
 
-    series = doc.get("series")
-    if series is not None:
-        A_series = [PowerSeries(series["A"][i], parity="odd")
-                    for i in range(3)]
-        B_series = [PowerSeries(series["B"][i], parity="even")
-                    for i in range(3)]
-    else:
-        A_series = [PowerSeries([0.0, 0.5, 0.0, a3[i], 0.0, a5[i]],
-                                parity="odd") for i in range(3)]
-        B_series = [PowerSeries([b0, 0.0, b2, 0.0], parity="even")
-                    for _ in range(3)]
+    series = doc["series"]
+    A_series = [PowerSeries(series["A"][i], parity="odd") for i in range(3)]
+    B_series = [PowerSeries(series["B"][i], parity="even") for i in range(3)]
     same = all(samples[key][0] == samples[key][1] == samples[key][2]
-               for key in ("A", "B", "dA", "dB") if key in samples)
+               for key in ("A", "B", "dA", "dB"))
     return StructureData(doc["label"], A, B, dA, dB, A_series, B_series,
                          b0=b0, b2=b2, t_max=t_max, symmetric=same)
 

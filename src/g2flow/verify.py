@@ -117,16 +117,19 @@ def _sol_tag(sol):
 # Boundary patterns
 
 
-def parity_report(sol, t_fit=1e-1, n=24):
+def parity_report(sol):
     """Least-squares extraction of the small-t coefficient pattern.
 
     The model depends on how the connection closes up at the origin:
     odd x1*t + x3*t^3 profiles, a 2/t pole plus odd corrections with an
-    even mate, or pure power decay for the decoupled family.
+    even mate, or pure power decay for the decoupled family.  The fit
+    uses 24 log-spaced points on [t_fit/100, t_fit], t_fit = min(0.1,
+    half the validity range).
     """
     lo, hi = sol.valid
-    t_fit = min(t_fit, 0.5 * hi)
-    if n < 4 or t_fit <= lo:
+    n = 24
+    t_fit = min(1e-1, 0.5 * hi)
+    if t_fit <= lo:
         raise ValueError("not enough usable samples below t=%g" % t_fit)
     ts = np.geomspace(t_fit / 100.0, t_fit, n)
     f = np.array([sol.coefficients(t) for t in ts])
@@ -188,12 +191,14 @@ def parity_report(sol, t_fit=1e-1, n=24):
 # Invariant region
 
 
-def invariance_report(traj, slack=1e-9):
+def invariance_report(traj):
     """Containment of a trajectory in the closed unit square.
 
-    Expects the bounded coordinates (A1 x, B1 y); boundary contact is
-    allowed, which covers the constant edge solutions.
+    Expects the bounded coordinates (A1 x, B1 y); boundary contact, up
+    to a slack of 1e-9, is allowed, which covers the constant edge
+    solutions.
     """
+    slack = 1e-9
     if traj.dim != 2:
         raise ValueError("expected a planar trajectory, got dim=%d"
                          % traj.dim)
@@ -235,20 +240,18 @@ def _fit_leading_coefficient(sol, x1):
     return 2.0 * coeffs[0], rel
 
 
-def bubbling_report(s, x1, lam, grid=None):
+def bubbling_report(s, x1, lam):
     """Distance of the rescaled profile to lam*t^2/(1+lam*t^2).
 
     The rescaling delta = sqrt(2*lam/c) uses the fitted leading
     coefficient c of x, so the comparison is parameter-free; sup and
-    first-derivative distances are taken over the unit-ball radius grid.
+    first-derivative distances are taken over 101 unit-ball radii.
     """
     if not s.symmetric:
         raise ValueError("rescaling limit needs a symmetric structure")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(0.0, 1.0, 101)
     sol = theta_x1(s, x1)
     c_fit, fit_rel = _fit_leading_coefficient(sol, x1)
     if c_fit <= 0:
@@ -272,12 +275,14 @@ def bubbling_report(s, x1, lam, grid=None):
                   notes)
 
 
-def convergence_report(s, x1_list, window=(1.0, 5.0), n=160):
+def convergence_report(s, x1_list, window=(1.0, 5.0)):
     """Decay of sup |A1 x - A1 x_0| on a window as x1 grows.
 
-    Checks strict monotonicity and the reciprocal-linear shape
-    c1/(1 + c2*x1) of the distances.
+    The sup is taken over 160 points of the window.  Checks strict
+    monotonicity and the reciprocal-linear shape c1/(1 + c2*x1) of the
+    distances.
     """
+    n = 160
     if not s.symmetric:
         raise ValueError("comparison needs a symmetric structure")
     ta, tb = window
@@ -356,10 +361,10 @@ def _curvature_blocks(s, sol, t):
     return mm, float(np.abs(other).max()) if other else 0.0
 
 
-def curvature_boundary_report(s, sol, ts=(1e-2, 1e-3, 1e-4)):
+def curvature_boundary_report(s, sol):
     """Approach of the curvature to its value over the zero section.
 
-    The target on the eta-minus wedge block is what the exact curvature
+    Measured at t = 1e-2, 1e-3 and 1e-4.  The target on the eta-minus wedge block is what the exact curvature
     oracle returns for the constant connection with a^+ = 1, a^- = 0:
     coefficient -2 on each T_i tensor eta_j^- wedge eta_k^- in cyclic
     ordered-pair convention.  For the odd families the block scales
@@ -379,7 +384,7 @@ def curvature_boundary_report(s, sol, ts=(1e-2, 1e-3, 1e-4)):
     normalize = sol.bundle == "P1" and not flat
     dists = []
     others = []
-    for t in ts:
+    for t in (1e-2, 1e-3, 1e-4):
         mm, other = _curvature_blocks(s, sol, t)
         if flat:
             dist = float(np.abs(mm).max())
@@ -453,7 +458,7 @@ def spectrum_report(s):
     return Report("spectrum:%s" % s.label, passed, metrics, notes)
 
 
-def default_battery(s, x1_list=(1.0, 10.0, 100.0), residual_threshold=None):
+def default_battery(s, residual_threshold=None):
     """The standard report set for one structure."""
     hi = min(10.0, s.t_max)
     grid = np.geomspace(1e-2, hi, 40)
@@ -469,7 +474,7 @@ def default_battery(s, x1_list=(1.0, 10.0, 100.0), residual_threshold=None):
     if sols[2].trajectory is not None:
         reports.append(invariance_report(sols[2].trajectory))
     reports.append(bubbling_report(s, 100.0, 1.0))
-    reports.append(convergence_report(s, x1_list))
+    reports.append(convergence_report(s, (1.0, 10.0, 100.0)))
     reports.append(curvature_boundary_report(s, sols[0]))
     reports.append(curvature_boundary_report(s, sols[3]))
     return reports

@@ -111,6 +111,9 @@ NONFINITE = {
     "theta-y0-tol-negative": (["solve", "--family", "theta-y0", "--tol",
                                "-1"], None,
                               lambda lin: theta_y0(lin, 0.5, tol=-1.0)),
+    "theta-y0-tol-below-floor": (["solve", "--family", "theta-y0", "--tol",
+                                  "1e-30"], None,
+                                 lambda lin: theta_y0(lin, 0.5, tol=1e-30)),
 }
 
 
@@ -157,6 +160,13 @@ BAD_INPUT = {
                        "solver.order"),
     "threshold-not-a-number": (["verify"], None, {"residual": "abc"},
                                "thresholds.residual"),
+    # scipy lifts an rtol below 100 machine epsilons to that floor and
+    # only warns
+    "solve-tol-below-floor": (["solve", "--family", "theta-y0", "--tol",
+                               "1e-30"], None, None, "solver.tol"),
+    "scan-tol-below-floor": (["scan", "--family", "theta-y0", "--values",
+                              "0.1,0.2", "--tol", "1e-30"], None, None,
+                             "solver.tol"),
 }
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from g2flow.singular_ivp import (EventSpec, IntegrationError, SingularIVP,
                                  PreconditionError, blowup_event, integrate,
-                                 malgrange_check, region_exit_event,
-                                 series_bootstrap, solve_boundary,
-                                 solve_singular)
+                                 malgrange_check, series_bootstrap,
+                                 solve_boundary, solve_singular)
 
 
 def scalar_ivp(lam, forcing=1.0, y0=0.0):
@@ -109,7 +108,7 @@ def test_blowup_event_terminates():
 
 
 def test_region_exit_event_nonterminal():
-    ev = region_exit_event(lambda t, y: 1.0 - y[0])
+    ev = EventSpec("region-exit", lambda t, y: 1.0 - y[0])
     traj = integrate(lambda t, y: [1.0], (0.0, 3.0), [0.0], events=[ev])
     assert traj.event_times("region-exit") == [pytest.approx(1.0, abs=1e-9)]
     assert traj.t[-1] == pytest.approx(3.0)
@@ -133,8 +132,9 @@ def test_integration_error_carries_partial_trajectory():
 
 
 def test_trajectory_csv_export(tmp_path):
+    ev = EventSpec("region-exit", lambda t, y: 0.5 - y[0])
     traj = integrate(lambda t, y: [math.cos(t)], (0.0, 1.0), [0.0],
-                     events=[region_exit_event(lambda t, y: 0.5 - y[0])])
+                     events=[ev])
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_text().splitlines()

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from g2flow._series import ps_var
-from g2flow.instantons import p1_ivp, pid_ivp, residual_pointwise, theta_x1
+from g2flow.cli import build_structure, main
+from g2flow.instantons import (flat_pid, p1_ivp, pid_ivp, residual_pointwise,
+                               theta_x1, theta_y0)
 from g2flow.structures import (SERIES_ORDER, CoefficientFns, PowerSeries,
                                StructureData, b2_from_data,
                                coefficient_functions, load_structure,
@@ -103,7 +105,10 @@ def test_su23_rejects_bad_inputs():
         make_su23_structure((lambda t: 0.5 * t, a1), 0.0, t_max=5.0)
     wrong = PowerSeries([0.0, 1.0], parity="odd")
     with pytest.raises(ValueError):
-        make_su23_structure((lambda t: t, wrong), 1.0, t_max=5.0)
+        make_su23_structure((lambda t: t, wrong, lambda t: 1.0), 1.0,
+                            t_max=5.0)
+    with pytest.raises(TypeError):
+        make_su23_structure((lambda t: 0.5 * t, a1), 1.0, t_max=5.0)
 
 
 def test_coefficient_functions_bryant_salamon(bs):
@@ -175,7 +180,7 @@ def test_json_round_trip(bs, tmp_path):
     assert list(s2.A_series[0]) == list(bs.A_series[0])
 
 
-def test_json_rejects_tampering(bs):
+def test_json_rejects_tampering(bs, tmp_path):
     doc = structure_to_json(bs, n_samples=9)
     bad = dict(doc, pressure=1.0)
     with pytest.raises(ValueError, match="unknown structure keys"):
@@ -191,6 +196,22 @@ def test_json_rejects_tampering(bs):
     bad["samples"]["B"][1][0] = -1.0
     with pytest.raises(ValueError, match="positive"):
         structure_from_json(bad)
+    # series and the dA, dB samples are required: spline derivatives
+    # and a short Taylor series are less accurate than the stored data
+    out = tmp_path / "out"
+    out.mkdir()
+    for block, key in ((None, "series"), ("samples", "dA"),
+                       ("samples", "dB")):
+        bad = json.loads(json.dumps(doc))
+        target = bad[block] if block else bad
+        del target[key]
+        with pytest.raises(ValueError, match="keys"):
+            structure_from_json(bad)
+        path = tmp_path / ("no-%s.json" % key)
+        path.write_text(json.dumps(bad))
+        assert main(["structure", "--kind", "file", "--path", str(path),
+                     "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
 
 
 def test_structure_rejects_nonpositive_b0():
@@ -205,17 +226,26 @@ def test_bryant_salamon_r_max_validation():
         make_bryant_salamon(r_max=1.0)
 
 
-@pytest.mark.parametrize("build", ["bryant-salamon", "json", "su23"])
+@pytest.mark.parametrize("build", ["bryant-salamon", "json", "su23",
+                                   "su23-cli", "su23-cli-theta-x1"])
 def test_bryant_salamon_evaluators_stay_in_range(build):
     s = make_bryant_salamon(5.0)
     if build == "json":
         s = structure_from_json(structure_to_json(s, n_samples=201))
     elif build == "su23":
         s = make_su23_structure(s, 1.0)
-    for fn in (s.A[0], s.B[0], s.dA[0], s.dB[0]):
+    elif build.startswith("su23-cli"):
+        # the polynomial (a1, series, da1) tuple, t_max 12
+        s = build_structure({"kind": "su23"})
+    fns = (s.A[0], s.B[0], s.dA[0], s.dB[0])
+    outside = (-1.0, 2.0 * s.t_max, s.t_max * (1 + 1e-8), math.nan)
+    if build == "su23-cli-theta-x1":
+        extras = theta_x1(s, 1.0).extras
+        fns, outside = (extras["x"], extras["A1x"]), outside[1:3]
+    for fn in fns:
         fn(0.0)
         fn(s.t_max)
-        for t in (-1.0, 2.0 * s.t_max, s.t_max * (1 + 1e-8), math.nan):
+        for t in outside:
             with pytest.raises(ValueError, match="outside the profile range"):
                 fn(t)
 
@@ -252,11 +282,15 @@ def test_one_profile_frame_per_t(bs, symmetric, per_t):
         assert calls[0] - before == per_t
 
 
-def test_residual_reads_one_frame_per_node(bs):
+@pytest.mark.parametrize("family", ["theta_x1", "theta_y0", "flat_pid"])
+def test_residual_reads_one_frame_per_node(bs, family):
     # four stencil nodes and the centre, whose coefficient tables share
-    # the centre frame: 5 frames of 4 calls (24 when they reread it)
+    # the centre frame: 5 frames of 4 calls (24 when they reread it, 30
+    # or 40 when the profiles and frames of the nodes alternate)
     s, calls = _counting_rebuild(bs, True)
-    sol = theta_x1(s, 2.0)
+    sol = {"theta_x1": lambda: theta_x1(s, 2.0),
+           "theta_y0": lambda: theta_y0(s, 0.5 / s.b0),
+           "flat_pid": lambda: flat_pid(s, 1)}[family]()
     for t in (1.0, 3.7):
         before = calls[0]
         residual_pointwise(s, sol, t)

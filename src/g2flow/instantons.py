@@ -37,9 +37,9 @@ from ._series import ps_var
 from .algebra import ConnectionCoeffs
 # malgrange_check and series_bootstrap stay importable from this module:
 # perfbench/tracing.py patches the layer entry points here by name
-from .singular_ivp import (EventSpec, SingularIVP, blowup_event, integrate,
-                           malgrange_check, series_bootstrap, series_handoff,
-                           solve_boundary)
+from .singular_ivp import (EventSpec, SingularIVP, blowup_event,
+                           dense_reader, integrate, malgrange_check,
+                           series_bootstrap, series_handoff, solve_boundary)
 from .structures import (CYC0, _in_range, _positive_finite,
                          coefficient_functions)
 
@@ -101,7 +101,7 @@ def connection_at(sol, t):
 def _eq_data(s, t_need):
     """Dense (E, Q) on [0, horizon], rebuilt lazily when the horizon grows."""
     holder = s._cache.get("EQ")
-    t_need = min(float(t_need), s.t_max)
+    t_need = min(_in_range(float(t_need), s.t_max), s.t_max)
     if holder is not None and holder["horizon"] >= t_need:
         return holder
     cf = coefficient_functions(s)
@@ -116,7 +116,7 @@ def _eq_data(s, t_need):
                     rtol=1e-13, atol=1e-16, dense_output=True)
     if not sol.success:
         raise RuntimeError("quadrature for (E, Q) failed: %s" % sol.message)
-    dense = sol.sol
+    dense = dense_reader(sol.sol)
 
     phi_ps = cf.phi_series[0]
     E_ps = ps_var(phi_ps.order + 1) * (-(phi_ps.integ())).exp()
@@ -125,12 +125,12 @@ def _eq_data(s, t_need):
     def E(t):
         if _in_range(t, horizon) == 0.0:
             return 0.0
-        return t * math.exp(-float(dense(t)[0]))
+        return t * math.exp(-dense(t)[0])
 
     def Q(t):
         if _in_range(t, horizon) == 0.0:
             return 0.0
-        return float(dense(t)[1])
+        return dense(t)[1]
 
     holder = {"horizon": horizon, "E": E, "Q": Q,
               "E_ps": E_ps, "Q_ps": Q_ps}
@@ -583,17 +583,16 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
     if not (sol_up.success and sol_dn.success):
         raise RuntimeError("abelian rate quadrature failed")
 
-    def ints(t):
-        return (sol_up.sol(t) if t >= t0 else sol_dn.sol(t))
+    up, down = dense_reader(sol_up.sol), dense_reader(sol_dn.sol)
 
     def f6(t):
-        iv = ints(t)
+        iv = (up if t >= t0 else down)(t)
         sc2 = (t / t0) ** 2
         sc4 = (t0 / t) ** 4
         out = np.empty(6)
         for i in range(3):
-            out[i] = ap0[i] * sc2 * math.exp(-float(iv[i]))
-            out[3 + i] = am0[i] * sc4 * math.exp(-float(iv[3 + i]))
+            out[i] = ap0[i] * sc2 * math.exp(-iv[i])
+            out[3 + i] = am0[i] * sc4 * math.exp(-iv[3 + i])
         return out
 
     bundle = "P1" if all(v == 0.0 for v in am0) else "none"

@@ -16,15 +16,57 @@ evaluated at the variable-t series ps_var(order).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from ._series import PowerSeries, ps_var
 
 # scipy lifts any smaller rtol to this value and only warns
 RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def dense_reader(sol):
+    """Scalar reader t -> tuple of floats, bitwise equal to sol(t) for a
+    DOP853 OdeSolution (the segment rule of OdeSolution._call_single, the
+    float operations of Dop853DenseOutput._call_impl).  Segments convert
+    on first read; the last (t, values) is one tuple set in one
+    assignment, so reads at one t evaluate once, also across threads."""
+    if not all(isinstance(f, Dop853DenseOutput) for f in sol.interpolants):
+        raise TypeError("dense_reader needs a DOP853 OdeSolution")
+    ts, n = sol.ts_sorted.tolist(), sol.n_segments
+    find = bisect_left if sol.ascending else bisect_right
+    fs = sol.interpolants if sol.ascending else sol.interpolants[::-1]
+    segments = [None] * n         # float forms, in the order of ts
+    last = (None, None)
+
+    def read(t):
+        nonlocal last
+        memo = last
+        if memo[0] == t:
+            return memo[1]
+        i = min(max(find(ts, t) - 1, 0), n - 1)
+        seg = segments[i]
+        if seg is None:
+            # per component: 0 + F[6], F[5], ..., F[0], y_old
+            f = fs[i]
+            seg = segments[i] = (float(f.t_old), float(f.h), list(zip(
+                (0.0 + f.F[-1]).tolist(), *f.F[-2::-1].tolist(),
+                f.y_old.tolist())))
+        t_old, h, cols = seg
+        x = (float(t) - t_old) / h
+        xm = 1 - x
+        values = tuple(
+            ((((((c6 * x + c5) * xm + c4) * x + c3) * xm + c2) * x + c1) * xm
+             + c0) * x + y_old
+            for c6, c5, c4, c3, c2, c1, c0, y_old in cols)
+        last = (t, values)
+        return values
+
+    return read
 
 
 class PreconditionError(ValueError):
@@ -279,8 +321,9 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
     for ev, te in zip(evs, sol.t_events):
         recorded.extend((ev.kind, float(x)) for x in te)
     recorded.sort(key=lambda e: e[1])
-    meta = {"interp": sol.sol, "nfev": sol.nfev, "status": sol.status,
-            "success": bool(sol.success), "label": label, "rtol": tol}
+    meta = {"interp": dense_reader(sol.sol), "nfev": sol.nfev,
+            "status": sol.status, "success": bool(sol.success),
+            "label": label, "rtol": tol}
     traj = Trajectory(sol.t, sol.y, recorded, meta)
     if sol.status == -1:
         raise IntegrationError(
@@ -307,10 +350,8 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=()):
                      label=ivp.label)
     dense = traj.meta.get("interp")
 
-    def interp(t, series=series, eps=eps, dense=dense):
-        if t <= eps:
-            return [p(t) for p in series]
-        return dense(t)
+    def interp(t):
+        return [p(t) for p in series] if t <= eps else dense(t)
 
     meta = {"interp": interp, "series": series, "check": rep,
             "handoff_mismatch": mismatch, "eps": eps,

@@ -30,6 +30,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from ._series import PowerSeries, ps_const, ps_var
+from .singular_ivp import dense_reader
 
 SERIES_ORDER = 26
 COEFF_SERIES_CUTOFF = 0.05
@@ -162,9 +163,9 @@ def make_bryant_salamon(r_max=60.0):
     """Bryant-Salamon structure A_1 = (r/3) sqrt(1 - r^-3), B_1 = r/sqrt(3).
 
     The radial coordinate satisfies t(r) = int_1^r ds/sqrt(1-s^-3); with
-    r = 1 + w^2 the rate dw/dt is smooth and even in w, so the profile is
-    produced by one regular ODE solve with dense output.  r_max sets the
-    horizon t_max = t(r_max).
+    r = 1 + w^2 the rate dw/dt is smooth and even in w, so w(t) is one
+    regular ODE solve, read through dense_reader: bitwise equal to scipy's
+    OdeSolution, once per t for all four evaluators.  t_max = t(r_max).
     """
     if not (r_max > 1 and math.isfinite(r_max)):
         raise ValueError("r_max must be finite and exceed 1")
@@ -187,10 +188,10 @@ def make_bryant_salamon(r_max=60.0):
     if not sol.t_events[0].size:
         raise RuntimeError("radial coordinate failed to reach r_max")
     t_max = float(sol.t_events[0][0])
-    dense = sol.sol
+    dense = dense_reader(sol.sol)
 
     def wof(t):
-        return float(dense(_in_range(t, t_max))[0])
+        return dense(_in_range(t, t_max))[0]
 
     def A1(t):
         w = wof(t)
@@ -311,12 +312,12 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
                     rtol=1e-12, atol=1e-15, dense_output=True)
     if not sol.success:
         raise RuntimeError("B-from-A quadrature failed: %s" % sol.message)
-    dense = sol.sol
+    dense = dense_reader(sol.sol)
     c0 = 0.25 * b0 * b0
 
     def Pfun(t):
         J, q2 = dense(t)
-        return t * t * math.exp(float(J)) * (c0 + float(q2))
+        return t * t * math.exp(J) * (c0 + q2)
 
     def B1(t):
         if _in_range(t, horizon) == 0.0:
@@ -611,6 +612,10 @@ def structure_from_json(doc):
     series = doc["series"]
     A_series = [PowerSeries(series["A"][i], parity="odd") for i in range(3)]
     B_series = [PowerSeries(series["B"][i], parity="even") for i in range(3)]
+    derived = [B_series[0][2]] + [p[k] for k in (3, 5) for p in A_series]
+    for got, want in zip([b2] + a3 + a5, derived):
+        if not abs(got - want) <= 1e-12 * max(1.0, abs(want)):
+            raise ValueError("b2, a3 and a5 must match the series block")
     same = all(samples[key][0] == samples[key][1] == samples[key][2]
                for key in ("A", "B", "dA", "dB"))
     return StructureData(doc["label"], A, B, dA, dB, A_series, B_series,

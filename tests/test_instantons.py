@@ -10,6 +10,7 @@ from g2flow.instantons import (_stencil_nodes, abelian_connection,
                                theta_y0, theta_zero)
 from g2flow.algebra import constraint_value
 from g2flow.singular_ivp import malgrange_check, series_bootstrap
+from g2flow.structures import make_bryant_salamon
 
 
 def closed_form_product(s, x1, t):
@@ -297,3 +298,16 @@ def test_theta_requires_symmetric_structure(bs):
         theta_x1(asym, 1.0)
     with pytest.raises(ValueError):
         theta_y0(asym, 0.1)
+
+
+def test_eq_quadrature_survives_nan_read():
+    # t is checked before min(t, t_max): a nan read raises without
+    # rebuilding the cached (E, Q) quadrature
+    s = make_bryant_salamon()
+    x = theta_x1(s, 1.0).extras["x"]
+    assert s._cache["EQ"]["horizon"] == 15.0
+    with pytest.raises(ValueError, match="outside the profile range"):
+        x(math.nan)
+    assert s._cache["EQ"]["horizon"] == 15.0
+    x(14.0)
+    assert s._cache["EQ"]["horizon"] == 15.0

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from g2flow.singular_ivp import (EventSpec, IntegrationError, SingularIVP,
-                                 PreconditionError, blowup_event, integrate,
-                                 malgrange_check, series_bootstrap,
-                                 solve_boundary, solve_singular)
+                                 PreconditionError, blowup_event,
+                                 dense_reader, integrate, malgrange_check,
+                                 series_bootstrap, solve_boundary,
+                                 solve_singular)
 
 
 def scalar_ivp(lam, forcing=1.0, y0=0.0):
@@ -150,3 +152,53 @@ def test_dense_output_evaluation():
     column = traj(np.array([0.2, 0.4]))
     assert column.shape == (1, 2)
     assert column[0, 1] == pytest.approx(0.16, rel=1e-9)
+
+
+def _radial_rate(t, y):
+    x = y[0] * y[0]
+    return [0.5 * math.sqrt((3.0 + x * (3.0 + x)) / (1.0 + x) ** 3)]
+
+
+def _coupled_rate(t, y):
+    return [math.sin((i + 1) * t) * y[(i + 1) % 6] + math.cos(y[i])
+            for i in range(6)]
+
+
+def _reach_two(t, y):
+    return y[0] - 2.0
+
+
+_reach_two.terminal = True
+
+
+@pytest.mark.parametrize("case", ["1d-ascending", "6d-descending",
+                                  "terminal-event"])
+def test_dense_reader_bitwise_equal_to_scipy(case):
+    if case == "6d-descending":
+        sol = solve_ivp(_coupled_rate, (3.0, 0.01), np.zeros(6),
+                        method="DOP853", rtol=1e-12, atol=1e-15,
+                        dense_output=True)
+    else:
+        events = [_reach_two] if case == "terminal-event" else []
+        sol = solve_ivp(_radial_rate, (0.0, 20.0), [0.0], method="DOP853",
+                        rtol=1e-13, atol=1e-14, dense_output=True,
+                        events=events)
+        assert sol.status == (1 if events else 0)
+    read = dense_reader(sol.sol)
+    lo, hi = sorted((sol.t[0], sol.t[-1]))
+    rng = np.random.default_rng(11)
+    # every node, both ends and random interior points, each read twice
+    ts = [float(t) for t in list(sol.t) + [lo, hi]
+          + list(rng.uniform(lo, hi, 300))]
+    for t in ts + ts[::-1]:
+        got = read(t)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex()
+                                          for v in sol.sol(t).tolist()]
+
+
+def test_dense_reader_rejects_other_methods():
+    sol = solve_ivp(lambda t, y: [-y[0]], (0.0, 1.0), [1.0], method="RK45",
+                    dense_output=True)
+    with pytest.raises(TypeError, match="DOP853"):
+        dense_reader(sol.sol)

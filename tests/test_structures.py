@@ -2,10 +2,12 @@ import json
 import math
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
+from g2flow import structures
 from g2flow._series import ps_var
 from g2flow.cli import build_structure, main
 from g2flow.instantons import (flat_pid, p1_ivp, pid_ivp, residual_pointwise,
@@ -214,6 +216,30 @@ def test_json_rejects_tampering(bs, tmp_path):
         assert list(out.iterdir()) == []
 
 
+def test_json_rejects_boundary_data_off_the_series(bs, lin, tmp_path):
+    # b2, a3 and a5 repeat entries of the series block; documents that
+    # structure_to_json writes agree with it exactly
+    for s in (bs, lin, build_structure({"kind": "su23"})):
+        doc = json.loads(json.dumps(structure_to_json(s, n_samples=41)))
+        back = structure_from_json(doc)
+        assert (back.b2, back.a3, back.a5) == (s.b2, s.a3, s.a5)
+    doc = structure_to_json(bs, n_samples=41)
+    out = tmp_path / "out"
+    out.mkdir()
+    for n, change in enumerate(({"b2": 123.0, "a3": [5.0, 5.0, 5.0]},
+                                {"b2": bs.b2 * (1 + 1e-11)},
+                                {"a3": [bs.a3[0], bs.a3[1], 0.0]},
+                                {"a5": [bs.a5[0], 0.3, bs.a5[2]]})):
+        bad = dict(doc, **change)
+        with pytest.raises(ValueError, match="series block"):
+            structure_from_json(bad)
+        path = tmp_path / ("bad-%d.json" % n)
+        path.write_text(json.dumps(bad))
+        assert main(["structure", "--kind", "file", "--path", str(path),
+                     "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+
+
 def test_structure_rejects_nonpositive_b0():
     with pytest.raises(ValueError):
         make_linear_example(0.0)
@@ -320,25 +346,31 @@ def test_frame_matches_evaluators_bitwise(bs, lin):
             assert got == want
 
 
-def test_coefficient_tables_thread_safe(bs):
-    def values(cf, t):
-        return tuple(fn(t).hex() for name in _TABLES
-                     for fn in getattr(cf, name))
+class _PythonEq(float):
+    """A t whose == runs Python code, so that a thread switch can fall
+    between a memo check and the use of the memo."""
 
-    ts = [float(t) for t in np.linspace(0.06, 12.0, 200)]
-    serial = CoefficientFns(bs)
-    want = {t: values(serial, t) for t in ts}
-    shared = CoefficientFns(bs)
+    def __eq__(self, other):
+        return float(self) == other
+
+    __hash__ = float.__hash__
+
+
+def _threads_agree(read, want):
+    """Whether 4 workers, each walking the t of want three times in its
+    own rotated order at a 1 µs switch interval, all get read(t) ==
+    want[t]."""
+    ts = [_PythonEq(t) for t in want]
     workers = 4
+    step = len(ts) // workers
     got = [[] for _ in range(workers)]
     start = threading.Barrier(workers)
 
     def run(n):
-        # each worker walks the same t in its own rotated order
         start.wait()
         for _ in range(3):
-            for t in ts[50 * n:] + ts[:50 * n]:
-                got[n].append(values(shared, t) == want[t])
+            for t in ts[step * n:] + ts[:step * n]:
+                got[n].append(read(t) == want[t])
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -352,4 +384,49 @@ def test_coefficient_tables_thread_safe(bs):
     finally:
         sys.setswitchinterval(switch)
     assert not any(th.is_alive() for th in threads)
-    assert all(g == [True] * 600 for g in got)
+    return all(g == [True] * (3 * len(ts)) for g in got)
+
+
+def test_coefficient_tables_thread_safe(bs):
+    def values(cf, t):
+        return tuple(fn(t).hex() for name in _TABLES
+                     for fn in getattr(cf, name))
+
+    ts = [float(t) for t in np.linspace(0.06, 12.0, 200)]
+    serial = CoefficientFns(bs)
+    shared = CoefficientFns(bs)
+    assert _threads_agree(partial(values, shared),
+                          {t: values(serial, t) for t in ts})
+
+
+def test_bryant_salamon_frame_evaluates_profile_once(monkeypatch):
+    # A, B, dA and dB each read w(t); the reader's last (t, values) hands
+    # all four the same evaluated tuple
+    reads = []
+    real = structures.dense_reader
+
+    def counting_reader(sol):
+        read = real(sol)
+
+        def counted(t):
+            reads.append(read(t))
+            return reads[-1]
+        return counted
+
+    monkeypatch.setattr(structures, "dense_reader", counting_reader)
+    s = make_bryant_salamon(5.0)
+    for t in (0.0, 0.3, 1.7, 2.9, s.t_max):
+        del reads[:]
+        s.frame(t)
+        assert len(reads) == 4
+        assert len({id(values) for values in reads}) == 1
+
+
+def test_profile_reader_thread_safe():
+    s = make_bryant_salamon()
+
+    def values(t):
+        return s.A[0](t).hex(), s.B[0](t).hex()
+
+    ts = [float(t) for t in np.linspace(0.06, 12.0, 200)]
+    assert _threads_agree(values, {t: values(t) for t in ts})

@@ -18,7 +18,7 @@ from .instantons import (InstantonSolution, abelian_connection,
 from .singular_ivp import (EventSpec, IntegrationError, MalgrangeReport,
                            PreconditionError, SingularIVP, Trajectory,
                            blowup_event, integrate, malgrange_check,
-                           series_bootstrap, solve_boundary, solve_singular)
+                           series_bootstrap, solve_singular)
 from .structures import (CYC0, StructureData, b2_from_data,
                          coefficient_functions, load_structure,
                          make_bryant_salamon, make_linear_example,
@@ -45,7 +45,7 @@ __all__ = [
     "pid_ivp", "random_rational_connection",
     "report_to_json", "reports_to_csv", "residual_pointwise",
     "residual_report", "save_structure", "series_bootstrap",
-    "solution_to_csv", "solve_boundary", "solve_singular",
+    "solution_to_csv", "solve_singular",
     "spectrum_report", "structure_from_json", "structure_to_json",
     "theta_x1", "theta_y0", "theta_zero",
 ]

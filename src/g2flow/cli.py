@@ -39,7 +39,8 @@ EXIT_NUMERIC = 3
 
 _STRUCTURE_KINDS = ("bryant_salamon", "su23", "linear", "file")
 _FAMILY_KINDS = ("theta_x1", "theta_zero", "theta_y0", "flat_pid",
-                 "abelian")
+                 "abelian", "flat_plus", "flat_minus")
+_PARAM_KEYS = ("x1", "y0", "t0", "sign")
 _SCAN_PARAMS = {"theta_x1": "x1", "theta_y0": "y0", "abelian": "t0"}
 
 
@@ -132,11 +133,11 @@ CONFIG_KEYS = {
     "structure": {"kind": _choice(_STRUCTURE_KINDS), "r_max": _real,
                   "b0": _positive, "a3": _real, "a5": _real,
                   "t_max": _positive, "path": _text},
-    "family": {"kind": _choice(_FAMILY_KINDS + ("flat_plus", "flat_minus")),
+    "family": {"kind": _choice(_FAMILY_KINDS),
                "x1": _real, "y0": _real,
                "sign": _choice((1, -1), _integer(-1)), "t0": _real,
                "aplus": _three_reals, "aminus": _three_reals,
-               "param": _choice(("x1", "y0", "t0", "sign")),
+               "param": _choice(_PARAM_KEYS),
                "values": _reals, "lo": _real, "hi": _real},
     "solver": {"eps": _positive, "order": _integer(0), "tol": _tolerance,
                "t_end": lambda v: _positive(v, inf_ok=True)},
@@ -475,8 +476,8 @@ def build_parser():
 
     pc = sub.add_parser("scan", parents=[common, struct_flags],
                         help="sweep one family parameter")
-    pc.add_argument("--family", type=_canon, choices=tuple(_SCAN_PARAMS))
-    pc.add_argument("--param", choices=["x1", "y0", "t0"])
+    pc.add_argument("--family", type=_canon, choices=_FAMILY_KINDS)
+    pc.add_argument("--param", choices=_PARAM_KEYS)
     pc.add_argument("--values", metavar="V1,V2,...")
     pc.add_argument("--lo", type=float)
     pc.add_argument("--hi", type=float)

@@ -39,7 +39,7 @@ from .algebra import ConnectionCoeffs
 # perfbench/tracing.py patches the layer entry points here by name
 from .singular_ivp import (EventSpec, SingularIVP, blowup_event,
                            dense_reader, integrate, malgrange_check,
-                           series_bootstrap, series_handoff, solve_boundary)
+                           series_bootstrap, series_handoff)
 from .structures import (CYC0, _in_range, _positive_finite,
                          coefficient_functions)
 
@@ -276,11 +276,8 @@ def su23_p1_ivp(s, x1):
                 - t3 * u * u,
                 v * (-gamma(t) + 2.0 * x1 * t + 2.0 * t3 * u)]
 
-    def jac(y):
-        return np.diag([-2.0, -6.0])
-
-    return SingularIVP(2, M_minus1, M, [u0, 0.0], label="su23-p1(x1=%g)" % x1,
-                       jacobian=jac, meta={"x1": x1})
+    return SingularIVP(M_minus1, M, [u0, 0.0], np.diag([-2.0, -6.0]),
+                       label="su23-p1(x1=%g)" % x1, meta={"x1": x1})
 
 
 def su23_pid_ivp(s, y0):
@@ -306,12 +303,9 @@ def su23_pid_ivp(s, y0):
                 + t3 * v * v - t * u * u,
                 -y0 * gamma_hat(t) - gamma(t) * v + 2.0 * t * u * v]
 
-    def jac(y):
-        return np.array([[-4.0, 0.0], [2.0 * y0, -2.0]])
-
-    return SingularIVP(2, M_minus1, M, [u0, v0],
-                       label="su23-pid(y0=%g)" % y0,
-                       jacobian=jac, meta={"y0": y0})
+    return SingularIVP(M_minus1, M, [u0, v0],
+                       [[-4.0, 0.0], [2.0 * y0, -2.0]],
+                       label="su23-pid(y0=%g)" % y0, meta={"y0": y0})
 
 
 def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13):
@@ -422,10 +416,10 @@ def p1_ivp(s, f1=(1.0, 1.0, 1.0)):
                           + t3 * (v_j * u_k + u_j * v_k))
         return out
 
-    def jac(y):
-        return np.diag([-2.0] * 3 + [-6.0] * 3)
-
-    y0 = solve_boundary(M_minus1, np.zeros(6), jacobian=jac)
+    # M_minus1 is affine, so one step from 0 solves M_minus1(y0) = 0
+    jac = np.diag([-2.0] * 3 + [-6.0] * 3)
+    zeros = np.zeros(6)
+    y0 = zeros - np.linalg.solve(jac, np.asarray(M_minus1(zeros), dtype=float))
     engine = tuple(y0[:3])
     a3 = s.a3
     statement, proof = [], []
@@ -444,8 +438,7 @@ def p1_ivp(s, f1=(1.0, 1.0, 1.0)):
                                   "statement": tuple(statement),
                                   "proof": tuple(proof),
                                   "match": match}}
-    return SingularIVP(6, M_minus1, M, y0, label="p1", jacobian=jac,
-                       meta=meta)
+    return SingularIVP(M_minus1, M, y0, jac, label="p1", meta=meta)
 
 
 @dataclass
@@ -518,19 +511,13 @@ def pid_ivp(s, b0_minus, u2_0=0.0, u3_0=0.0):
                           + t3 * (v_j * u_k + u_j * v_k))
         return out
 
-    def jac(y):
-        J = np.zeros((6, 6))
-        J[:3, :3] = -2.0
-        J[:3, 3:] = b0m * (np.ones((3, 3)) - np.eye(3))
-        J[3:, 3:] = Jv
-        return J
-
     boundary = PidBoundaryData(b0m, b2p, float(y0[0]), float(u2_0),
                                float(u3_0), tuple(float(v) for v in v0))
     meta = {"boundary": boundary, "beta": beta,
             "v0_formula_symmetric": b0m * (b2p - s.b2 / s.b0)}
-    return SingularIVP(6, M_minus1, M, y0, label="pid", jacobian=jac,
-                       meta=meta)
+    jac = np.block([[np.full((3, 3), -2.0), b0m * (1.0 - np.eye(3))],
+                    [np.zeros((3, 3)), Jv]])
+    return SingularIVP(M_minus1, M, y0, jac, label="pid", meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,12 @@ def dense_reader(sol):
     DOP853 OdeSolution (the segment rule of OdeSolution._call_single, the
     float operations of Dop853DenseOutput._call_impl).  Segments convert
     on first read; the last (t, values) is one tuple set in one
-    assignment, so reads at one t evaluate once, also across threads."""
+    assignment, so reads at one t evaluate once, also across threads.
+    A t outside the solved span [lo, hi (1 + 1e-9)] raises ValueError."""
     if not all(isinstance(f, Dop853DenseOutput) for f in sol.interpolants):
         raise TypeError("dense_reader needs a DOP853 OdeSolution")
     ts, n = sol.ts_sorted.tolist(), sol.n_segments
+    lo, hi = ts[0], ts[-1] + 1e-9 * abs(ts[-1])
     find = bisect_left if sol.ascending else bisect_right
     fs = sol.interpolants if sol.ascending else sol.interpolants[::-1]
     segments = [None] * n         # float forms, in the order of ts
@@ -48,6 +50,9 @@ def dense_reader(sol):
         memo = last
         if memo[0] == t:
             return memo[1]
+        if not lo <= t <= hi:
+            raise ValueError("t=%g outside the solved span [%g, %g]"
+                             % (t, ts[0], ts[-1]))
         i = min(max(find(ts, t) - 1, 0), n - 1)
         seg = segments[i]
         if seg is None:
@@ -85,17 +90,24 @@ class IntegrationError(RuntimeError):
 class SingularIVP:
     """Data of one singular problem.
 
-    M_minus1(y) and M(t, y) return sequences of length dim; jacobian, if
-    given, is the exact derivative of M_minus1 (otherwise differenced).
+    M_minus1(y) and M(t, y) return sequences of length len(y0); jacobian
+    is the exact matrix d_{y0} M_minus1, which with M_minus1(y0) is all
+    the solvability gate reads.
     """
 
-    dim: int
     M_minus1: object
     M: object
     y0: object
+    jacobian: object
     label: str = ""
-    jacobian: object = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        n = len(self.y0)
+        J = np.asarray(self.jacobian, dtype=float)
+        if J.shape != (n, n) or not np.isfinite(J).all():
+            raise ValueError("jacobian must be finite and %d x %d" % (n, n))
+        self.jacobian = J
 
 
 @dataclass
@@ -109,37 +121,12 @@ class MalgrangeReport:
     eig_tol: float
 
 
-def numeric_jacobian(f, y):
-    """Richardson-extrapolated central differences, accurate to ~1e-11."""
-    y = np.asarray(y, dtype=float)
-    f0 = np.asarray(f(y), dtype=float)
-    J = np.zeros((f0.size, y.size))
-    for j in range(y.size):
-        h = 1e-5 * max(1.0, abs(y[j]))
-
-        def diff(step):
-            yp = y.copy()
-            yp[j] += step
-            ym = y.copy()
-            ym[j] -= step
-            return (np.asarray(f(yp), dtype=float)
-                    - np.asarray(f(ym), dtype=float)) / (2.0 * step)
-
-        d1 = diff(h)
-        d2 = diff(0.5 * h)
-        J[:, j] = (4.0 * d2 - d1) / 3.0
-    return J
-
-
 def malgrange_check(ivp):
     """Gate: M_{-1}(y0) = 0 and no eigenvalue of d M_{-1} is in {1, 2, ...}."""
     tol = eig_tol = 1e-8
     y0 = np.asarray(ivp.y0, dtype=float)
     r = float(np.max(np.abs(np.asarray(ivp.M_minus1(y0), dtype=float))))
-    if ivp.jacobian is not None:
-        J = np.asarray(ivp.jacobian(y0), dtype=float)
-    else:
-        J = numeric_jacobian(ivp.M_minus1, y0)
+    J = ivp.jacobian
     eig = np.linalg.eigvals(J)
     offending = None
     for lam in sorted(eig, key=lambda z: z.real):
@@ -170,7 +157,7 @@ def series_bootstrap(ivp, order=8, check=None):
         raise PreconditionError(
             "solvability gate failed for %r: residual %.3e, offending h %s"
             % (ivp.label, rep.residual_at_y0, rep.offending_h))
-    dim = ivp.dim
+    dim = len(ivp.y0)
     J = rep.jacobian
     I = np.eye(dim)
     coeffs = np.zeros((dim, order + 1))
@@ -201,22 +188,6 @@ def series_handoff(ivp, eps, order=8):
     series_deriv = np.array([p.deriv()(eps) for p in series])
     mismatch = float(np.max(np.abs(field_eps - series_deriv)))
     return rep, series, y_eps, mismatch
-
-
-def solve_boundary(M_minus1, seed, jacobian=None, max_iter=60):
-    """Newton solve of M_{-1}(y) = 0 from a seed guess."""
-    tol = 1e-12
-    y = np.asarray(seed, dtype=float).copy()
-    for _ in range(max_iter):
-        r = np.asarray(M_minus1(y), dtype=float)
-        if np.max(np.abs(r)) <= tol:
-            return y
-        J = jacobian(y) if jacobian is not None else numeric_jacobian(
-            M_minus1, y)
-        y = y - np.linalg.solve(J, r)
-    if np.max(np.abs(np.asarray(M_minus1(y), dtype=float))) <= tol:
-        return y
-    raise RuntimeError("boundary Newton iteration did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +306,8 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=()):
     """Series on [0, eps], adaptive continuation on [eps, t_end].
 
     The samples start at eps; the dense evaluator reads the series at
-    t <= eps.  The handoff is continuous by construction;
+    0 <= t <= eps and the continuation elsewhere, which raises ValueError
+    outside [eps, last t].  The handoff is continuous by construction;
     meta["handoff_mismatch"] is the series_handoff defect at eps.
     """
     if not 0.0 < eps < t_end:
@@ -351,7 +323,7 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=()):
     dense = traj.meta.get("interp")
 
     def interp(t):
-        return [p(t) for p in series] if t <= eps else dense(t)
+        return [p(t) for p in series] if 0.0 <= t <= eps else dense(t)
 
     meta = {"interp": interp, "series": series, "check": rep,
             "handoff_mismatch": mismatch, "eps": eps,

@@ -33,8 +33,6 @@ SETTABLE = {
     ("singular_ivp.series_bootstrap", "check"),
     ("singular_ivp.series_bootstrap", "order"),
     ("singular_ivp.series_handoff", "order"),
-    ("singular_ivp.solve_boundary", "jacobian"),
-    ("singular_ivp.solve_boundary", "max_iter"),
     ("singular_ivp.solve_singular", "eps"),
     ("singular_ivp.solve_singular", "events"),
     ("singular_ivp.solve_singular", "order"),

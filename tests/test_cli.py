@@ -206,6 +206,30 @@ def test_config_values_string_parses_like_flag(tmp_path):
     assert len(want.splitlines()) == 3
 
 
+@pytest.mark.parametrize("command, family, flags, name", [
+    ("scan", {"kind": "flat_pid", "param": "sign", "values": "1,-1"},
+     ["--family", "flat-pid", "--param", "sign", "--values", "1,-1"],
+     "scan.csv"),
+    ("solve", {"kind": "flat_plus"}, ["--family", "flat-plus"],
+     "solution.csv"),
+])
+def test_flags_accept_the_config_choices(command, family, flags, name,
+                                         tmp_path):
+    # --family and --param take their choices from the config table, so
+    # a flag run and a config run of the same values write the same file
+    cfg = tmp_path / "cfg.json"
+    for run, doc, extra in (("file", family, []), ("flag", {}, flags)):
+        cfg.write_text(json.dumps({"structure": {"kind": "linear"},
+                                   "family": doc,
+                                   "outputs": {"grid": 5}}))
+        (tmp_path / run).mkdir()
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / run)] + extra) == 0
+    want = (tmp_path / "file" / name).read_bytes()
+    assert (tmp_path / "flag" / name).read_bytes() == want
+    assert len(want.splitlines()) == (3 if command == "scan" else 6)
+
+
 def test_kind_flags_accept_both_spellings():
     for kind in ("bryant-salamon", "bryant_salamon"):
         args = build_parser().parse_args(["structure", "--kind", kind])

@@ -9,7 +9,8 @@ from g2flow.instantons import (_stencil_nodes, abelian_connection,
                                su23_p1_ivp, su23_pid_ivp, theta_x1,
                                theta_y0, theta_zero)
 from g2flow.algebra import constraint_value
-from g2flow.singular_ivp import malgrange_check, series_bootstrap
+from g2flow.singular_ivp import (malgrange_check, series_bootstrap,
+                                 solve_singular)
 from g2flow.structures import make_bryant_salamon
 
 
@@ -143,6 +144,59 @@ def test_boundary_gate_6d(bs, lin):
         got = np.sort(rep2.eigenvalues.real)
         assert np.allclose(got, [-8.0, -8.0, -6.0, -2.0, 0.0, 0.0],
                            atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["bs", "lin"])
+def test_exact_jacobians_match_m_minus1(name, request):
+    # M_{-1} is affine in every problem, so M_{-1}(y0 + d) - M_{-1}(y0)
+    # equals J d up to the round-off of evaluating M_{-1}, and y0 is its
+    # zero; both relative to the size |J| |y| of the terms
+    s = request.getfixturevalue(name)
+    ivps = [p1_ivp(s, f1) for f1 in ((1.0, 1.0, 1.0), (0.3, 1.7, 2.9),
+                                     (1e4, 2e4, 3e4), (-2.0, 0.5, 0.0))]
+    ivps += [pid_ivp(s, 0.5, 0.3, -0.7), pid_ivp(s, -1.2, 2.0, 0.25)]
+    ivps += [su23_p1_ivp(s, 1.3), su23_pid_ivp(s, 0.4),
+             su23_pid_ivp(s, -2.0)]
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    for ivp in ivps:
+        y0, J = np.asarray(ivp.y0, dtype=float), ivp.jacobian
+
+        def m1(y):
+            return np.asarray(ivp.M_minus1(y), dtype=float)
+
+        m0 = m1(y0)
+        assert np.all(np.abs(m0) <= 8 * eps * (np.abs(J) @ np.abs(y0) + 1))
+        for _ in range(5):
+            d = rng.standard_normal(y0.size)
+            scale = np.abs(J) @ (np.abs(y0) + np.abs(d)) + 1
+            assert np.all(np.abs(m1(y0 + d) - m0 - J @ d) <= 8 * eps * scale)
+
+
+def test_solve_singular_reads_only_its_span(lin):
+    traj = solve_singular(pid_ivp(lin, 0.5), t_end=2.0)
+    read = traj.meta["interp"]
+    read(0.0)
+    read(2.0)
+    for t in (-1.0, 2.0 * (1 + 1e-8), 50.0, math.nan):
+        with pytest.raises(ValueError):
+            read(t)
+    with pytest.raises(ValueError):
+        traj(50.0)
+
+
+def test_theta_y0_profile_stops_at_its_continuation(lin):
+    sol = theta_y0(lin, 0.5, t_end=3.0)
+    sol.f6(3.0)
+    with pytest.raises(ValueError, match="solved span"):
+        sol.f6(100.0)
+
+
+def test_abelian_profile_stops_at_its_lower_end(lin):
+    sol = abelian_connection(lin, 1.0, (1.0, 0.0, 0.0))
+    sol.f6(1e-6)
+    with pytest.raises(ValueError, match="solved span"):
+        sol.f6(1e-9)
 
 
 def test_p1_six_dimensional_matches_explicit(bs):

@@ -7,20 +7,18 @@ from scipy.integrate import solve_ivp
 from g2flow.singular_ivp import (EventSpec, IntegrationError, SingularIVP,
                                  PreconditionError, blowup_event,
                                  dense_reader, integrate, malgrange_check,
-                                 series_bootstrap, solve_boundary,
-                                 solve_singular)
+                                 series_bootstrap, solve_singular)
 
 
 def scalar_ivp(lam, forcing=1.0, y0=0.0):
     # t y' = lam*y + forcing*t, solution y = forcing*t/(1-lam) for y0=0
     return SingularIVP(
-        dim=1,
         M_minus1=lambda y: [lam * y[0]],
         M=lambda t, y: [forcing * t / t if not isinstance(t, float)
                         else forcing],
         y0=[y0],
         label="scalar(lam=%g)" % lam,
-        jacobian=lambda y: [[lam]],
+        jacobian=[[lam]],
     )
 
 
@@ -64,10 +62,10 @@ def test_series_bootstrap_linear_solution():
 def test_series_bootstrap_nonlinear():
     # t y' = -y + y^2 + t; series y = t/2 + t^2/8 + ...
     ivp = SingularIVP(
-        dim=1,
         M_minus1=lambda y: [-y[0] + y[0] * y[0]],
         M=lambda t, y: [1.0 if isinstance(t, float) else t / t],
         y0=[0.0],
+        jacobian=[[-1.0]],
     )
     ser = series_bootstrap(ivp, order=4)[0]
     assert ser[1] == pytest.approx(0.5, rel=1e-14)
@@ -86,17 +84,6 @@ def test_solve_singular_matches_closed_form():
 def test_solve_singular_validates_window():
     with pytest.raises(ValueError):
         solve_singular(scalar_ivp(-2.0), eps=1.0, t_end=0.5)
-
-
-def test_newton_boundary_solve():
-    def m1(y):
-        return [y[0] * y[0] - 4.0, y[1] - y[0]]
-
-    y = solve_boundary(m1, [1.0, 0.0])
-    assert y[0] == pytest.approx(2.0, rel=1e-12)
-    assert y[1] == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(RuntimeError):
-        solve_boundary(lambda y: [y[0] ** 2 + 1.0], [1.0], max_iter=5)
 
 
 def test_blowup_event_terminates():
@@ -195,6 +182,30 @@ def test_dense_reader_bitwise_equal_to_scipy(case):
         assert all(type(v) is float for v in got)
         assert [v.hex() for v in got] == [v.hex()
                                           for v in sol.sol(t).tolist()]
+
+
+@pytest.mark.parametrize("span", [(0.0, 3.0), (3.0, 0.01)])
+def test_dense_reader_rejects_t_outside_solved_span(span):
+    sol = solve_ivp(_coupled_rate, span, np.zeros(6), method="DOP853",
+                    rtol=1e-12, atol=1e-15, dense_output=True)
+    read = dense_reader(sol.sol)
+    lo, hi = sorted(span)
+    # the top end has the 1e-9 relative slack of the profile evaluators
+    for t in (lo, hi, hi * (1 + 0.5e-9)):
+        assert [v.hex() for v in read(t)] == [
+            v.hex() for v in sol.sol(t).tolist()]
+    for t in (lo - 1e-12, -1.0, hi * (1 + 2e-9), 100.0, math.nan):
+        with pytest.raises(ValueError, match="outside the solved span"):
+            read(t)
+
+
+@pytest.mark.parametrize("jacobian", [[[1.0, 0.0]], [[1.0], [0.0]],
+                                      [[-2.0]], [1.0, 2.0],
+                                      [[0.0, math.nan], [0.0, 1.0]],
+                                      [[-math.inf, 0.0], [0.0, 1.0]]])
+def test_singular_ivp_rejects_bad_jacobian(jacobian):
+    with pytest.raises(ValueError, match="finite and 2 x 2"):
+        SingularIVP(lambda y: y, lambda t, y: y, [0.0, 0.0], jacobian)
 
 
 def test_dense_reader_rejects_other_methods():

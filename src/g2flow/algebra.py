@@ -6,18 +6,16 @@ The coframe basis is fixed, in this order, as
                e^4..e^6 = eta_1^-, eta_2^-, eta_3^-,
 
 and su(2) carries the basis T_1, T_2, T_3 with [T_i, T_j] = 2 eps_{ijk} T_k.
-Everything here works unchanged for Fraction or float components; the
-rational path gives exact equality checks for the two curvature routes.
+Everything here works unchanged for int, Fraction or float components;
+exact input gives exact equality checks for the two curvature routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-DT = 0
-ETA_PLUS = (1, 2, 3)
-ETA_MINUS = (4, 5, 6)
 BASIS_NAMES = ("dt", "e1+", "e2+", "e3+", "e1-", "e2-", "e3-")
 CYCLIC = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
@@ -166,11 +164,6 @@ class LieForm:
     def is_zero(self):
         return not self.coeffs
 
-    def norm_inf(self):
-        if not self.coeffs:
-            return 0.0
-        return max(v.norm_inf() for v in self.coeffs.values())
-
     def coefficient(self, *indices):
         """Coefficient of e^{i1} ^ ... ^ e^{ip}, any index order."""
         srt = _sort_sign(indices)
@@ -264,6 +257,15 @@ class ConnectionCoeffs:
         return LieForm(1, out)
 
 
+def _direct_parts(conn):
+    """(da, (1/2)[a ^ a]): the parts of curvature_direct linear and
+    quadratic in a."""
+    a = conn.one_form()
+    half = {(ia, ib): bracket(ca, cb) for ((ia,), ca), ((ib,), cb)
+            in combinations(sorted(a.coeffs.items()), 2)}
+    return exterior_derivative(a), LieForm(2, half)
+
+
 def curvature_direct(conn):
     """Brute force curvature F = da + (1/2)[a ^ a] on the coframe slice.
 
@@ -271,20 +273,12 @@ def curvature_direct(conn):
     a = sum c_alpha e^alpha the half-bracket is
     sum_{alpha<beta} [c_alpha, c_beta] e^alpha ^ e^beta.
     """
-    a = conn.one_form()
-    F = exterior_derivative(a)
-    entries = sorted(a.coeffs.items())
-    half = {}
-    for p in range(len(entries)):
-        (ia,), ca = entries[p]
-        for q in range(p + 1, len(entries)):
-            (ib,), cb = entries[q]
-            half[(ia, ib)] = bracket(ca, cb)
-    return F + LieForm(2, half)
+    d, half = _direct_parts(conn)
+    return d + half
 
 
-def curvature_lemma2(conn):
-    """Closed-form curvature of the invariant connection.
+def _lemma2_parts(conn):
+    """The -2 a terms (linear in a) and the brackets (quadratic) of Lemma 2.
 
     Terms per cyclic (i, j, k):
       [a_i^+, a_i^-]                 on eta_i^+ ^ eta_i^-
@@ -294,21 +288,26 @@ def curvature_lemma2(conn):
       -2 a_i^- + [a_j^+, a_k^-]      on eta_j^+ ^ eta_k^-
     """
     ap, am = conn.a_plus, conn.a_minus
-    out = {}
+    lin, quad = {}, {}
 
-    def add(ia, ib, vec):
-        srt = _sort_sign((ia, ib))
-        idx, sign = srt
-        term = sign * vec
-        out[idx] = out[idx] + term if idx in out else term
+    def put(out, ia, ib, vec):
+        idx, sign = _sort_sign((ia, ib))
+        out[idx] = sign * vec
 
     for i, j, k in CYCLIC:
-        add(i, i + 3, bracket(ap[i - 1], am[i - 1]))
-        add(j, k, (-2) * ap[i - 1] + bracket(ap[j - 1], ap[k - 1]))
-        add(j + 3, k + 3, (-2) * ap[i - 1] + bracket(am[j - 1], am[k - 1]))
-        add(j + 3, k, (-2) * am[i - 1] + bracket(am[j - 1], ap[k - 1]))
-        add(j, k + 3, (-2) * am[i - 1] + bracket(ap[j - 1], am[k - 1]))
-    return LieForm(2, out)
+        put(quad, i, i + 3, bracket(ap[i - 1], am[i - 1]))
+        # -2 c_i + [u_j, v_k] on eta_m ^ eta_n
+        for m, n, c, u, v in ((j, k, ap, ap, ap), (j + 3, k + 3, ap, am, am),
+                              (j + 3, k, am, am, ap), (j, k + 3, am, ap, am)):
+            put(lin, m, n, (-2) * c[i - 1])
+            put(quad, m, n, bracket(u[j - 1], v[k - 1]))
+    return LieForm(2, lin), LieForm(2, quad)
+
+
+def curvature_lemma2(conn):
+    """Closed-form curvature (Lemma 2): the sum of _lemma2_parts."""
+    lin, quad = _lemma2_parts(conn)
+    return lin + quad
 
 
 def constraint_value(conn, structure, t):

@@ -40,7 +40,7 @@ from .algebra import ConnectionCoeffs
 from .singular_ivp import (EventSpec, SingularIVP, blowup_event,
                            dense_reader, integrate, malgrange_check,
                            series_bootstrap, series_handoff)
-from .structures import (CYC0, _in_range, _positive_finite,
+from .structures import (CYC0, _finite, _in_range, _positive_finite,
                          coefficient_functions)
 
 BLOWUP_THRESHOLD = 1e8
@@ -175,9 +175,7 @@ def theta_x1(s, x1):
     the product connection.  Lives on the bundle framed by f_i^+ smooth.
     """
     _require_symmetric(s)
-    x1 = float(x1)
-    if not math.isfinite(x1):
-        raise ValueError("x1 must be finite")
+    x1 = _finite("x1", x1)
     if x1 < 0:
         raise ValueError("x1 must be >= 0")
     cf = coefficient_functions(s)
@@ -262,7 +260,7 @@ def su23_p1_ivp(s, x1):
     cf = coefficient_functions(s)
     phi, gamma, phi_hat = cf.phi[0], cf.gamma[0], cf.phi_hat[0]
     p1 = cf.phi1[0]
-    x1 = float(x1)
+    x1 = _finite("x1", x1)
     u0 = -0.5 * (x1 * x1 + p1 * x1)
 
     def M_minus1(y):
@@ -287,7 +285,7 @@ def su23_pid_ivp(s, y0):
     phi, gamma = cf.phi[0], cf.gamma[0]
     phi_hat, gamma_hat = cf.phi_hat[0], cf.gamma_hat[0]
     p1, g1 = cf.phi1[0], cf.gamma1[0]
-    y0 = float(y0)
+    y0 = _finite("y0", y0)
     u0 = 0.25 * (y0 * y0 - 2.0 * p1)
     v0 = y0 * u0 - 0.5 * y0 * g1
 
@@ -318,9 +316,7 @@ def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13):
     extras["handoff_mismatch"] is the series_handoff defect at eps.
     """
     _require_symmetric(s)
-    y0 = float(y0)
-    if not math.isfinite(y0):
-        raise ValueError("y0 must be finite")
+    y0 = _finite("y0", y0)
     eps, tol = _positive_finite("eps", eps), _positive_finite("tol", tol)
     if not (isinstance(order, numbers.Integral) and order >= 0):
         raise ValueError("order must be an integer >= 0")
@@ -390,8 +386,10 @@ def p1_ivp(s, f1=(1.0, 1.0, 1.0)):
     (they differ in whether the quadratic term is halved) and which of
     them the engine confirms.
     """
-    cf = coefficient_functions(s)
     f1 = tuple(float(x) for x in f1)
+    if len(f1) != 3 or not all(math.isfinite(x) for x in f1):
+        raise ValueError("f1 must be three finite numbers")
+    cf = coefficient_functions(s)
     p1v, phi, gamma = cf.phi1, cf.phi, cf.gamma
     phi_hat = cf.phi_hat
 
@@ -462,8 +460,9 @@ def pid_ivp(s, b0_minus, u2_0=0.0, u3_0=0.0):
     problem fails its solvability gate with a nonzero residual rather
     than being repaired here.
     """
+    b0m = _finite("b0_minus", b0_minus)
+    u2_0, u3_0 = _finite("u2_0", u2_0), _finite("u3_0", u3_0)
     cf = coefficient_functions(s)
-    b0m = float(b0_minus)
     b2p = 0.25 * (b0m * b0m - 1.0 / s.b0 ** 2)
     a3 = s.a3
     beta = tuple(b2p - 4.0 * a3[i] for i in range(3))
@@ -541,7 +540,7 @@ def flat_pid(s, sign=1):
 
 
 def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
-    """Diagonal abelian connection fixed by its value at t0.
+    """Diagonal abelian connection fixed by its value at t0 in (0, t_max).
 
     a_i^+(t) = a_i^+(t0) (t/t0)^2 exp(-int_{t0}^t q_i) and the raw
     companion branch a_i^-(t) = a_i^-(t0) (t0/t)^4 exp(-int_{t0}^t h_i),
@@ -550,8 +549,8 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
     valid on [1e-6, t_max].
     """
     t0 = float(t0)
-    if not 0.0 < t0 <= s.t_max:
-        raise ValueError("t0 must lie in (0, t_max]")
+    if not 0.0 < t0 < s.t_max:
+        raise ValueError("t0 must lie in (0, t_max)")
     ap0 = tuple(float(x) for x in aplus_t0)
     am0 = tuple(float(x) for x in aminus_t0)
     if not all(math.isfinite(x) for x in ap0 + am0):

@@ -113,6 +113,14 @@ def _positive_finite(name, value):
     return value
 
 
+def _finite(name, value):
+    """value as a float; ValueError unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite" % name)
+    return value
+
+
 def _in_range(t, t_max):
     """t, after checking that it lies in [0, t_max (1 + 1e-9)]."""
     if not 0.0 <= t <= t_max * (1 + 1e-9):

@@ -6,7 +6,7 @@ import json
 import pathlib
 
 import g2flow
-from g2flow import cli, instantons, structures
+from g2flow import cli, instantons, structures, verify
 
 
 def _tracing(monkeypatch):
@@ -55,3 +55,20 @@ def test_perfbench_tracer_sees_cli_builders(monkeypatch, tmp_path):
     layers = tr.layers()
     for name in ("structures.build", "instantons.theta_x1"):
         assert layers.get(name, (0,))[0] > 0, name
+
+
+def test_perfbench_tracer_sees_oracle_and_curvature_routes(monkeypatch, lin):
+    # the oracle must stay one verify.oracle_report call, and the boundary
+    # report must reach the curvature routes through verify's module
+    # attributes, or verify.oracle_s and algebra.curvature_* read zero
+    tracing = _tracing(monkeypatch)
+    sol = instantons.theta_x1(lin, 1.0)
+    tr = tracing.Tracer()
+    with contextlib.ExitStack() as stack:
+        tracing.install(tr, stack)
+        verify.oracle_report(n=5)
+        verify.curvature_boundary_report(lin, sol)
+    layers = tr.layers()
+    calls, total, _ = layers.get("verify.oracle", (0, 0.0, 0.0))
+    assert calls == 1 and total > 0.0
+    assert layers.get("algebra.curvature", (0,))[0] > 0

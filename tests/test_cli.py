@@ -158,6 +158,13 @@ BAD_INPUT = {
     "order-fraction": (["solve"], {"solver": {"order": 2.5},
                                    "family": {"kind": "theta_y0"}}, None,
                        "solver.order"),
+    "abelian-t0-at-t-max": (["solve", "--family", "abelian", "--t0", "5.0"],
+                            {"structure": {"kind": "linear", "t_max": 5.0}},
+                            None, "t0"),
+    "abelian-t0-past-t-max": (["solve", "--family", "abelian", "--t0",
+                               "6.0"],
+                              {"structure": {"kind": "linear",
+                                             "t_max": 5.0}}, None, "t0"),
     "threshold-not-a-number": (["verify"], None, {"residual": "abc"},
                                "thresholds.residual"),
     # scipy lifts an rtol below 100 machine epsilons to that floor and

@@ -11,7 +11,14 @@ from g2flow.instantons import (_stencil_nodes, abelian_connection,
 from g2flow.algebra import constraint_value
 from g2flow.singular_ivp import (malgrange_check, series_bootstrap,
                                  solve_singular)
-from g2flow.structures import make_bryant_salamon
+from g2flow.structures import make_bryant_salamon, make_linear_example
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.fixture(scope="module")
+def lin5():
+    return make_linear_example(1.0, t_max=5.0)
 
 
 def closed_form_product(s, x1, t):
@@ -259,6 +266,34 @@ def test_abelian_decay_and_bundle(bs):
         vals = np.array([abs(sol.coefficients(t)[idx]) for t in ts])
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         assert slope == pytest.approx(target, abs=0.02)
+
+
+def test_abelian_t0_lies_inside_the_profile_range(lin5):
+    # t0 = t_max left an empty upward solve, which dense_reader refused
+    # with a TypeError
+    for t0 in (5.0, 6.0, 0.0, NAN):
+        with pytest.raises(ValueError, match=r"t0 must lie in \(0, t_max\)"):
+            abelian_connection(lin5, t0, (1.0, 0.0, 0.0))
+    sol = abelian_connection(lin5, 4.9, (1.0, 0.0, 0.0))
+    assert np.all(np.isfinite(sol.coefficients(5.0)))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda s: p1_ivp(s, (NAN, 1.0, 1.0)), "f1"),
+    (lambda s: p1_ivp(s, (1.0, 1.0, INF)), "f1"),
+    (lambda s: p1_ivp(s, (1.0, 1.0)), "f1"),
+    (lambda s: pid_ivp(s, NAN), "b0_minus"),
+    (lambda s: pid_ivp(s, 0.5, INF), "u2_0"),
+    (lambda s: pid_ivp(s, 0.5, 0.0, -INF), "u3_0"),
+    (lambda s: su23_p1_ivp(s, NAN), "x1"),
+    (lambda s: su23_pid_ivp(s, INF), "y0"),
+], ids=["p1-nan", "p1-inf", "p1-two-entries", "pid-b0-minus-nan",
+        "pid-u2-inf", "pid-u3-inf", "su23-p1-x1-nan", "su23-pid-y0-inf"])
+def test_singular_builders_reject_bad_arguments(lin5, build, name):
+    # before, these built a problem with a non-finite y0, raised
+    # IndexError, or failed only in the Jacobian check
+    with pytest.raises(ValueError, match="^%s must be" % name):
+        build(lin5)
 
 
 def test_abelian_residual_small(bs):

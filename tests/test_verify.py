@@ -1,15 +1,19 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
+from g2flow import algebra
+from g2flow.algebra import (_direct_parts, _lemma2_parts,
+                            random_rational_connection)
 from g2flow.instantons import InstantonSolution, flat_pid, theta_x1, theta_y0
 from g2flow.singular_ivp import Trajectory
-from g2flow.verify import (Report, bubbling_report, convergence_report,
-                           curvature_boundary_report, default_battery,
-                           invariance_report, oracle_report, parity_report,
-                           report_to_json, reports_to_csv, residual_report,
-                           spectrum_report)
+from g2flow.verify import (Report, _integer_numerators, bubbling_report,
+                           convergence_report, curvature_boundary_report,
+                           default_battery, invariance_report, oracle_report,
+                           parity_report, report_to_json, reports_to_csv,
+                           residual_report, spectrum_report)
 
 
 def test_default_battery_passes(bs, lin):
@@ -25,6 +29,43 @@ def test_oracle_report_exact():
     assert rep.metrics["mismatches"] == 0.0
     assert rep.metrics["n_checked"] == 50.0
     assert rep.metrics["flat_zero"] == 1.0
+
+
+def test_integer_numerators_scale_the_route_parts():
+    # the oracle's bridge: at N = D a the d parts (linear in a) are D
+    # times and the bracket parts (quadratic) D^2 times their values at a
+    rng = random.Random(11)
+    denominators = []
+    for _ in range(30):
+        a = random_rational_connection(rng)
+        N, D = _integer_numerators(a)
+        denominators.append(D)
+        assert all(type(x) is int for v in N.a_plus + N.a_minus for x in v)
+        assert N.a_plus == tuple(v * D for v in a.a_plus)
+        assert N.a_minus == tuple(v * D for v in a.a_minus)
+        for parts in (_direct_parts, _lemma2_parts):
+            lin_a, quad_a = parts(a)
+            lin_n, quad_n = parts(N)
+            assert lin_n == D * lin_a
+            assert quad_n == D * D * quad_a
+            assert lin_n.degree == quad_n.degree == 2
+    assert max(denominators) > 1
+
+
+def test_oracle_catches_a_wrong_maurer_cartan_weight(monkeypatch):
+    # _MC is read by the direct route only
+    monkeypatch.setitem(algebra._MC, 1, (((2, 3), 2), ((5, 6), -2)))
+    rep = oracle_report(n=20)
+    assert not rep.passed
+    assert rep.metrics["mismatches"] == 20.0
+
+
+def test_oracle_catches_an_anticyclic_lemma2(monkeypatch):
+    # CYCLIC is read by the Lemma 2 route only
+    monkeypatch.setattr(algebra, "CYCLIC", ((1, 3, 2), (3, 2, 1), (2, 1, 3)))
+    rep = oracle_report(n=20)
+    assert not rep.passed
+    assert rep.metrics["mismatches"] == 20.0
 
 
 def test_spectrum_report(bs):

@@ -110,6 +110,10 @@ def _sort_sign(indices):
     return tuple(idx), sign
 
 
+# degree p -> the strictly increasing p-tuples of coframe indices 0..6
+_INDICES = {p: frozenset(combinations(range(7), p)) for p in range(8)}
+
+
 class LieForm:
     """su(2)-valued exterior form with strictly increasing multi-indices.
 
@@ -120,19 +124,14 @@ class LieForm:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree, coeffs=None):
-        if not 0 <= degree <= 7:
+        valid = _INDICES.get(degree)
+        if valid is None:
             raise ValueError("degree out of range")
         self.degree = degree
         clean = {}
         for idx, vec in (coeffs or {}).items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise ValueError("index %r has wrong length for degree %d"
-                                 % (idx, degree))
-            if any(not 0 <= i <= 6 for i in idx):
-                raise ValueError("index %r outside the 7-coframe" % (idx,))
-            if list(idx) != sorted(set(idx)):
-                raise ValueError("index %r is not strictly increasing" % (idx,))
+            if idx not in valid:
+                raise ValueError("bad index %r for degree %d" % (idx, degree))
             if not vec.is_zero():
                 clean[idx] = clean[idx] + vec if idx in clean else vec
         self.coeffs = clean

@@ -40,8 +40,8 @@ from .algebra import ConnectionCoeffs
 from .singular_ivp import (EventSpec, SingularIVP, blowup_event,
                            dense_reader, integrate, malgrange_check,
                            series_bootstrap, series_handoff)
-from .structures import (CYC0, _finite, _in_range, _positive_finite,
-                         coefficient_functions)
+from .structures import (CYC0, _RegularFn, _finite, _in_range,
+                         _positive_finite, coefficient_functions)
 
 BLOWUP_THRESHOLD = 1e8
 SOLUTION_SERIES_CUTOFF = 1e-3
@@ -123,13 +123,9 @@ def _eq_data(s, t_need):
     Q_ps = E_ps.integ()
 
     def E(t):
-        if _in_range(t, horizon) == 0.0:
-            return 0.0
         return t * math.exp(-dense(t)[0])
 
     def Q(t):
-        if _in_range(t, horizon) == 0.0:
-            return 0.0
         return dense(t)[1]
 
     holder = {"horizon": horizon, "E": E, "Q": Q,
@@ -144,24 +140,25 @@ def _require_symmetric(s):
                          "equal B_i); %r is not" % s.label)
 
 
-def _theta_core(s, x_eval, dx_eval, A1x_ps, family, params):
+def _theta_core(s, x_eval, A1x_ps, family, params):
+    """The member with f_i^+ = x_eval, f_i^- = 0.  A1x = A_1 x and its
+    derivative read their series below SOLUTION_SERIES_CUTOFF; above it
+    x' comes from the scalar reduction x' = (1/t - phi_1) x - x^2."""
+    cf = coefficient_functions(s)
+
     def f6(t):
         x = x_eval(t)
         return np.array([x, x, x, 0.0, 0.0, 0.0])
 
-    dA1x_ps = A1x_ps.deriv()
+    def dA1x_direct(t):
+        x = x_eval(t)
+        return s.dA[0](t) * x + s.A[0](t) * (cf.scalar_F(t) * x - x * x)
 
-    def A1x(t):
-        if t < SOLUTION_SERIES_CUTOFF:
-            return A1x_ps(t)
-        return s.A[0](t) * x_eval(t)
-
-    def dA1x(t):
-        if t < SOLUTION_SERIES_CUTOFF:
-            return dA1x_ps(t)
-        return s.dA[0](t) * x_eval(t) + s.A[0](t) * dx_eval(t)
-
-    extras = {"x": x_eval, "A1x": A1x, "dA1x": dA1x}
+    extras = {"x": x_eval,
+              "A1x": _RegularFn(A1x_ps, lambda t: s.A[0](t) * x_eval(t),
+                                SOLUTION_SERIES_CUTOFF, s.t_max),
+              "dA1x": _RegularFn(A1x_ps.deriv(), dA1x_direct,
+                                 SOLUTION_SERIES_CUTOFF, s.t_max)}
     return InstantonSolution(family=family, params=params, bundle="P1"
                              if family == "theta_x1" else "Pid",
                              structure=s, f6=f6, valid=(0.0, s.t_max),
@@ -178,29 +175,16 @@ def theta_x1(s, x1):
     x1 = _finite("x1", x1)
     if x1 < 0:
         raise ValueError("x1 must be >= 0")
-    cf = coefficient_functions(s)
     eq = _eq_data(s, min(s.t_max, 12.0))
     x_ps = (eq["E_ps"] * x1) / (eq["Q_ps"] * x1 + 1.0)
-    dx_ps = x_ps.deriv()
 
-    def x_eval(t):
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t < SOLUTION_SERIES_CUTOFF:
-            return x_ps(t)
+    def x_direct(t):
         eq = _eq_data(s, t)
         return x1 * eq["E"](t) / (1.0 + x1 * eq["Q"](t))
 
-    def dx_eval(t):
-        if t <= 0:
-            return x1
-        if t < SOLUTION_SERIES_CUTOFF:
-            return dx_ps(t)
-        x = x_eval(t)
-        return cf.scalar_F(t) * x - x * x
-
+    x_eval = _RegularFn(x_ps, x_direct, SOLUTION_SERIES_CUTOFF, s.t_max)
     A1x_ps = s.A_series[0] * x_ps
-    return _theta_core(s, x_eval, dx_eval, A1x_ps, "theta_x1", {"x1": x1})
+    return _theta_core(s, x_eval, A1x_ps, "theta_x1", {"x1": x1})
 
 
 def theta_zero(s):
@@ -210,7 +194,6 @@ def theta_zero(s):
     second invariant bundle.
     """
     _require_symmetric(s)
-    cf = coefficient_functions(s)
     eq = _eq_data(s, min(s.t_max, 12.0))
     num_ps = eq["E_ps"].shift_down(1)
     den_ps = eq["Q_ps"].shift_down(2)
@@ -223,14 +206,8 @@ def theta_zero(s):
         eq = _eq_data(s, t)
         return eq["E"](t) / eq["Q"](t)
 
-    def dx_eval(t):
-        if t <= 0:
-            raise ValueError("theta_zero profile diverges at t = 0")
-        x = x_eval(t)
-        return cf.scalar_F(t) * x - x * x
-
     A1x_ps = (s.A_series[0] * eq["E_ps"]).shift_down(2) / den_ps
-    return _theta_core(s, x_eval, dx_eval, A1x_ps, "theta_zero", {})
+    return _theta_core(s, x_eval, A1x_ps, "theta_zero", {})
 
 
 # ---------------------------------------------------------------------------

@@ -237,15 +237,17 @@ def make_linear_example(b0, t_max=1e6):
     t_max = _positive_finite("t_max", t_max)
 
     def A1(t):
-        return 0.5 * t
+        return 0.5 * _in_range(t, t_max)
 
     def dA1(t):
+        _in_range(t, t_max)
         return 0.5
 
     def B1(t):
-        return math.hypot(b0, 0.5 * t)
+        return math.hypot(b0, 0.5 * _in_range(t, t_max))
 
     def dB1(t):
+        t = _in_range(t, t_max)
         return 0.25 * t / math.hypot(b0, 0.5 * t)
 
     A_ps = ps_var(SERIES_ORDER) * 0.5
@@ -303,12 +305,9 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
     order = max(a1_series.order, 14)
     A_ps = PowerSeries(a1_series, order=order)
     uA = A_ps.shift_down(1)
-    g_ps = (1.0 / uA - 2.0).shift_down(1)
-
-    def g_reg(t):
-        if t < COEFF_SERIES_CUTOFF:
-            return g_ps(t)
-        return 1.0 / a1(t) - 2.0 / t
+    g_reg = _RegularFn((1.0 / uA - 2.0).shift_down(1),
+                       lambda t: 1.0 / a1(t) - 2.0 / t,
+                       COEFF_SERIES_CUTOFF, horizon)
 
     def rhs(t, y):
         if t <= 0.0:
@@ -340,15 +339,13 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
         P = PowerSeries([0.0, 0.0, c0] + list(upd)[3:], order=order + 2)
     B_ps = P.shift_down(2).sqrt() * (1.0 / uA)
 
-    dB_ps = B_ps.deriv()
-
-    def dB1(t):
-        if _in_range(t, horizon) < COEFF_SERIES_CUTOFF:
-            return dB_ps(t)
+    def dB1_direct(t):
         a = a1(t)
         P = Pfun(t)
         Pdot = P / a + a ** 3
         return B1(t) * (Pdot / (2.0 * P) - da1(t) / a)
+
+    dB1 = _RegularFn(B_ps.deriv(), dB1_direct, COEFF_SERIES_CUTOFF, horizon)
 
     return StructureData(label, (a1,) * 3, (B1,) * 3, (da1,) * 3,
                          (dB1,) * 3, (PowerSeries(A_ps, parity="odd"),) * 3,
@@ -361,25 +358,28 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
 
 
 class _RegularFn:
-    """Analytic scalar function of t: Taylor polynomial below a cutoff,
-    closed-form evaluator above it.  At the variable-t series ps_var(n),
-    which the series bootstrap passes, it returns the polynomial
-    truncated to order n; other series are rejected."""
+    """Analytic scalar function of t on [0, t_max]: Taylor polynomial
+    below a cutoff, closed form above it, which must itself reject nan
+    and t past t_max (each here reads a guarded profile evaluator).  At
+    the variable-t series ps_var(n), which the series bootstrap passes,
+    it returns the polynomial truncated to order n; other series are
+    rejected."""
 
-    __slots__ = ("poly", "direct", "cutoff")
+    __slots__ = ("poly", "direct", "cutoff", "t_max")
 
-    def __init__(self, ps, direct, cutoff):
+    def __init__(self, ps, direct, cutoff, t_max):
         self.poly = PowerSeries([float(c) for c in ps])
         self.direct = direct
         self.cutoff = cutoff
+        self.t_max = t_max
 
     def __call__(self, t):
         if isinstance(t, PowerSeries):
             if t != ps_var(t.order):
                 raise ValueError("only the variable-t series is supported")
             return PowerSeries(self.poly, order=t.order)
-        if abs(t) < self.cutoff:
-            return self.poly(t)
+        if t < self.cutoff:
+            return self.poly(_in_range(t, self.t_max))
         return self.direct(t)
 
 
@@ -470,7 +470,8 @@ class CoefficientFns:
         # phi, gamma, a_plus_rate, a_minus_rate: the series of data[i][k]
         # below c_cut, entry [k][i] of _direct(t) above it
         self.phi, self.gamma, self.a_plus_rate, self.a_minus_rate = (
-            tuple(_RegularFn(d[k], partial(_pick, self._direct, k, i), c_cut)
+            tuple(_RegularFn(d[k], partial(_pick, self._direct, k, i), c_cut,
+                             s.t_max)
                   for i, d in enumerate(data)) for k in range(4))
         self.phi1 = tuple(ps[1] for ps, _, _, _ in data)
         self.phi3 = tuple(ps[3] for ps, _, _, _ in data)
@@ -484,13 +485,13 @@ class CoefficientFns:
             gvar = ps_var(max(gamma_ps.order, 1))
             phi_hat.append(_RegularFn(
                 _shift_pad(phi_ps - tvar * p1, 2),
-                partial(_deflate2, self.phi[i], p1), d_cut))
+                partial(_deflate2, self.phi[i], p1), d_cut, s.t_max))
             dphi.append(_RegularFn(
                 _shift_pad(phi_ps - tvar * p1 - (tvar ** 3) * p3, 5),
-                partial(_deflate5, self.phi[i], p1, p3), d_cut))
+                partial(_deflate5, self.phi[i], p1, p3), d_cut, s.t_max))
             gamma_hat.append(_RegularFn(
                 _shift_pad(gamma_ps - gvar * g1, 2),
-                partial(_deflate2, self.gamma[i], g1), d_cut))
+                partial(_deflate2, self.gamma[i], g1), d_cut, s.t_max))
         self.phi_hat = tuple(phi_hat)
         self.dphi = tuple(dphi)
         self.gamma_hat = tuple(gamma_hat)

@@ -328,7 +328,17 @@ def convergence_report(s, x1_list, window=(1.0, 5.0)):
 # Curvature at the origin
 
 
-_MM_PAIRS = ((5, 6, 0), (4, 6, 1), (4, 5, 2))
+# eta_j^- ^ eta_k^- for cyclic (i, j, k), i = 1, 2, 3, and the same slots
+# as (sorted index pair, T component) of LieForm.coeffs
+_MM_PAIRS = ((5, 6), (6, 4), (4, 5))
+_MM_SLOTS = {(tuple(sorted(p)), i) for i, p in enumerate(_MM_PAIRS)}
+
+
+def _eta_minus_block(F):
+    """Coefficients of T_i on eta_j^- ^ eta_k^- of a 2-form, cyclic
+    (i, j, k)."""
+    return np.array([float(F.coefficient(*p)[i])
+                     for i, p in enumerate(_MM_PAIRS)])
 
 
 def _curvature_blocks(s, sol, t):
@@ -336,23 +346,10 @@ def _curvature_blocks(s, sol, t):
     rest; the dt wedge part uses the profile ODEs for the derivative."""
     cf = coefficient_functions(s)
     f = sol.coefficients(t)
-    conn = connection_at(sol, t)
-    F = curvature_lemma2(conn)
-    mm = np.zeros(3)
-    other = []
-    for idx, vec in F.coeffs.items():
-        placed = False
-        for j, k, i in _MM_PAIRS:
-            if idx == (j, k):
-                # stored coefficient of T_i on the sorted pair; flip to
-                # the cyclic orientation (4,5)->(5,6)->(6,4)
-                sign = -1.0 if (j, k) == (4, 6) else 1.0
-                mm[i] = sign * float(vec[i])
-                rest = [float(v) for m, v in enumerate(vec) if m != i]
-                other.extend(rest)
-                placed = True
-        if not placed:
-            other.extend(float(v) for v in vec)
+    F = curvature_lemma2(connection_at(sol, t))
+    mm = _eta_minus_block(F)
+    other = [float(v) for idx, vec in F.coeffs.items()
+             for m, v in enumerate(vec) if (idx, m) not in _MM_SLOTS]
     A, B, dA, dB = s.frame(t)
     for i, j, k in CYC0:
         dfp = (-cf.F[i](t) * f[i] + f[3 + j] * f[3 + k] - f[j] * f[k])
@@ -360,7 +357,7 @@ def _curvature_blocks(s, sol, t):
         da_p = dA[i] * f[i] + A[i] * dfp
         da_m = dB[i] * f[3 + i] + B[i] * dfm
         other.extend([da_p, da_m])
-    return mm, float(np.abs(other).max()) if other else 0.0
+    return mm, float(np.abs(other).max())
 
 
 def curvature_boundary_report(s, sol):
@@ -373,12 +370,8 @@ def curvature_boundary_report(s, sol):
     linearly with the profile, so it is compared after normalization;
     constant families are compared raw.
     """
-    canon = curvature_lemma2(
-        ConnectionCoeffs.from_diagonal((1, 1, 1), (0, 0, 0)))
-    target = np.zeros(3)
-    for j, k, i in _MM_PAIRS:
-        sign = -1.0 if (j, k) == (4, 6) else 1.0
-        target[i] = sign * float(canon.coefficient(j, k)[i])
+    target = _eta_minus_block(curvature_lemma2(
+        ConnectionCoeffs.from_diagonal((1, 1, 1), (0, 0, 0))))
     metrics = {}
     notes = ["target fixed by the exact oracle on the constant "
              "a^+=1 connection: %s per cyclic pair" % target[0]]

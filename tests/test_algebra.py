@@ -16,6 +16,15 @@ def T(i):
     return Su2Vec.basis(i, 1)
 
 
+@pytest.mark.parametrize("degree, idx", [(2, (1,)), (1, (7,)), (2, (2, 1)),
+                                         (2, (1, 1)), (8, None)],
+                         ids=["wrong-length", "index-7", "decreasing",
+                              "repeated", "degree-8"])
+def test_lie_form_rejects_bad_indices(degree, idx):
+    with pytest.raises(ValueError):
+        LieForm(degree, {} if idx is None else {idx: T(1)})
+
+
 def test_basis_brackets():
     assert bracket(T(1), T(2)) == Su2Vec(0, 0, 2)
     assert bracket(T(2), T(3)) == Su2Vec(2, 0, 0)

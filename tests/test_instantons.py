@@ -8,7 +8,7 @@ from g2flow.instantons import (_stencil_nodes, abelian_connection,
                                residual_pointwise, solution_to_csv,
                                su23_p1_ivp, su23_pid_ivp, theta_x1,
                                theta_y0, theta_zero)
-from g2flow.algebra import constraint_value
+from g2flow.algebra import ConnectionCoeffs, Su2Vec, constraint_value
 from g2flow.singular_ivp import (malgrange_check, series_bootstrap,
                                  solve_singular)
 from g2flow.structures import make_bryant_salamon, make_linear_example
@@ -319,6 +319,20 @@ def test_constraint_vanishes_on_diagonal(bs):
     sol = theta_y0(bs, 0.7)
     for t in (0.05, 1.0, 7.0):
         assert constraint_value(connection_at(sol, t), bs, t).is_zero()
+
+
+def test_constraint_value_on_nondiagonal_data(bs):
+    # sum_i [a_i^+, a_i^-] / (A_i B_i), the bracket [u, v] = 2 u x v
+    rng = np.random.default_rng(0)
+    ap, am = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+    conn = ConnectionCoeffs(tuple(Su2Vec(*map(float, v)) for v in ap),
+                            tuple(Su2Vec(*map(float, v)) for v in am))
+    for t in (0.05, 1.0, 7.0):
+        want = sum(2.0 * np.cross(ap[i], am[i]) / (bs.A[i](t) * bs.B[i](t))
+                   for i in range(3))
+        got = constraint_value(conn, bs, t)
+        assert np.abs(want).max() > 0.01
+        assert np.allclose(list(got), want, rtol=1e-13, atol=1e-15)
 
 
 def test_connection_at_applies_profile_factors(bs):

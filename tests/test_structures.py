@@ -11,7 +11,7 @@ from g2flow import structures
 from g2flow._series import ps_var
 from g2flow.cli import build_structure, main
 from g2flow.instantons import (flat_pid, p1_ivp, pid_ivp, residual_pointwise,
-                               theta_x1, theta_y0)
+                               theta_x1, theta_y0, theta_zero)
 from g2flow.structures import (SERIES_ORDER, CoefficientFns, PowerSeries,
                                StructureData, b2_from_data,
                                coefficient_functions, load_structure,
@@ -253,26 +253,40 @@ def test_bryant_salamon_r_max_validation():
 
 
 @pytest.mark.parametrize("build", ["bryant-salamon", "json", "su23",
-                                   "su23-cli", "su23-cli-theta-x1"])
+                                   "su23-cli", "linear"])
 def test_bryant_salamon_evaluators_stay_in_range(build):
     s = make_bryant_salamon(5.0)
     if build == "json":
         s = structure_from_json(structure_to_json(s, n_samples=201))
     elif build == "su23":
         s = make_su23_structure(s, 1.0)
-    elif build.startswith("su23-cli"):
+    elif build == "su23-cli":
         # the polynomial (a1, series, da1) tuple, t_max 12
         s = build_structure({"kind": "su23"})
-    fns = (s.A[0], s.B[0], s.dA[0], s.dB[0])
-    outside = (-1.0, 2.0 * s.t_max, s.t_max * (1 + 1e-8), math.nan)
-    if build == "su23-cli-theta-x1":
-        extras = theta_x1(s, 1.0).extras
-        fns, outside = (extras["x"], extras["A1x"]), outside[1:3]
+    elif build == "linear":
+        s = make_linear_example(1.0, t_max=5.0)
+    cf = coefficient_functions(s)
+    member, limit = theta_x1(s, 1.0).extras, theta_zero(s).extras
+    fns = [s.A[0], s.B[0], s.dA[0], s.dB[0], member["x"]]
+    fns += [getattr(cf, name)[0] for name in _TABLES[2:]]
+    fns += [extras[key] for extras in (member, limit)
+            for key in ("A1x", "dA1x")]
+    # -1e-3 lies inside every series cutoff, -1 outside them
+    outside = (-1.0, -1e-3, 2.0 * s.t_max, s.t_max * (1 + 1e-8), math.nan)
     for fn in fns:
         fn(0.0)
         fn(s.t_max)
         for t in outside:
             with pytest.raises(ValueError, match="outside the profile range"):
+                fn(t)
+    # the readers with a pole at t = 0 keep their own message for t < 0
+    for fn, pole in ((limit["x"], "diverges at t = 0"),
+                     (cf.F[0], "need t > 0"), (cf.G[0], "need t > 0"),
+                     (cf.scalar_F, "need t > 0")):
+        fn(s.t_max)
+        for t in outside:
+            msg = pole if t < 0 else "outside the profile range"
+            with pytest.raises(ValueError, match=msg):
                 fn(t)
 
 

@@ -7,7 +7,8 @@ import pytest
 from g2flow import algebra
 from g2flow.algebra import (_direct_parts, _lemma2_parts,
                             random_rational_connection)
-from g2flow.instantons import InstantonSolution, flat_pid, theta_x1, theta_y0
+from g2flow.instantons import (InstantonSolution, abelian_connection,
+                               flat_pid, theta_x1, theta_y0, theta_zero)
 from g2flow.singular_ivp import Trajectory
 from g2flow.verify import (Report, _integer_numerators, bubbling_report,
                            convergence_report, curvature_boundary_report,
@@ -119,6 +120,18 @@ def test_parity_report_families(bs):
     assert rep.metrics["y0_fit"] == pytest.approx(0.4, abs=1e-4)
 
 
+def test_parity_report_abelian_exponents(bs):
+    sol = abelian_connection(bs, 1.0, (0.3, 0.5, 0.0), (0.2, 0.0, 0.0))
+    rep = parity_report(sol)
+    assert rep.passed
+    assert sorted(rep.metrics) == ["exp_minus_1", "exp_plus_1", "exp_plus_2"]
+    for key, slope in rep.metrics.items():
+        assert abs(slope - (2.0 if "plus" in key else -4.0)) <= 0.02
+    assert rep.notes[:3] == ["minus branch 2 identically zero",
+                             "plus branch 3 identically zero",
+                             "minus branch 3 identically zero"]
+
+
 def test_invariance_report_detects_exit():
     ts = np.linspace(0.0, 5.0, 101)
     ys = np.vstack([0.5 + 0.2 * ts, 0.3 * np.ones_like(ts)])
@@ -160,6 +173,21 @@ def test_curvature_boundary_report(bs):
     dists = [rep.metrics["other_blocks_t=%g" % t] for t in (1e-2, 1e-3, 1e-4)]
     assert dists[0] > dists[1] > dists[2]
     assert rep.metrics["eta_mm_dist_t=%g" % 1e-4] <= 1e-3
+
+
+@pytest.mark.parametrize("name", ["bs", "lin"])
+def test_curvature_boundary_report_theta_zero(name, request):
+    # a Pid member: the eta-minus block is compared raw, not normalized,
+    # and approaches the target quadratically
+    s = request.getfixturevalue(name)
+    rep = curvature_boundary_report(s, theta_zero(s))
+    assert rep.passed
+    assert not any("normalized" in note for note in rep.notes)
+    ts = (1e-2, 1e-3, 1e-4)
+    dists = [rep.metrics["eta_mm_dist_t=%g" % t] for t in ts]
+    others = [rep.metrics["other_blocks_t=%g" % t] for t in ts]
+    assert dists[0] > 50 * dists[1] > 2500 * dists[2] > 0
+    assert others[0] > 5 * others[1] > 25 * others[2] > 0
 
 
 def test_report_serialization(tmp_path):

@@ -253,23 +253,30 @@ def test_bryant_salamon_r_max_validation():
 
 
 @pytest.mark.parametrize("build", ["bryant-salamon", "json", "su23",
-                                   "su23-cli", "linear"])
+                                   "su23-cli", "su23-cli-theta-x1",
+                                   "linear"])
 def test_bryant_salamon_evaluators_stay_in_range(build):
     s = make_bryant_salamon(5.0)
+    x1s = (1.0,)
     if build == "json":
         s = structure_from_json(structure_to_json(s, n_samples=201))
     elif build == "su23":
         s = make_su23_structure(s, 1.0)
-    elif build == "su23-cli":
+    elif build.startswith("su23-cli"):
         # the polynomial (a1, series, da1) tuple, t_max 12
         s = build_structure({"kind": "su23"})
+        if build == "su23-cli-theta-x1":
+            # theta_x1 members far from x1 = 1 on both sides
+            x1s = (0.05, 1.0, 20.0)
     elif build == "linear":
         s = make_linear_example(1.0, t_max=5.0)
     cf = coefficient_functions(s)
-    member, limit = theta_x1(s, 1.0).extras, theta_zero(s).extras
-    fns = [s.A[0], s.B[0], s.dA[0], s.dB[0], member["x"]]
+    members = [theta_x1(s, x1).extras for x1 in x1s]
+    limit = theta_zero(s).extras
+    fns = [s.A[0], s.B[0], s.dA[0], s.dB[0]]
+    fns += [member["x"] for member in members]
     fns += [getattr(cf, name)[0] for name in _TABLES[2:]]
-    fns += [extras[key] for extras in (member, limit)
+    fns += [extras[key] for extras in members + [limit]
             for key in ("A1x", "dA1x")]
     # -1e-3 lies inside every series cutoff, -1 outside them
     outside = (-1.0, -1e-3, 2.0 * s.t_max, s.t_max * (1 + 1e-8), math.nan)

@@ -235,8 +235,7 @@ def su23_p1_ivp(s, x1):
     """Reduced singular problem for x = x1 t + t^3 u, y = t^2 v."""
     _require_symmetric(s)
     cf = coefficient_functions(s)
-    phi, gamma, phi_hat = cf.phi[0], cf.gamma[0], cf.phi_hat[0]
-    p1 = cf.phi1[0]
+    row, p1 = cf.row, cf.phi1[0]
     x1 = _finite("x1", x1)
     u0 = -0.5 * (x1 * x1 + p1 * x1)
 
@@ -245,11 +244,12 @@ def su23_p1_ivp(s, x1):
         return [-2.0 * u - x1 * x1 - p1 * x1, -6.0 * v]
 
     def M(t, y):
+        phi, gamma, _, _, phi_hat, _, _ = row(t)
         u, v = y[0], y[1]
         t3 = t * t * t
-        return [-x1 * phi_hat(t) - phi(t) * u + t * (v * v - 2.0 * x1 * u)
+        return [-x1 * phi_hat[0] - phi[0] * u + t * (v * v - 2.0 * x1 * u)
                 - t3 * u * u,
-                v * (-gamma(t) + 2.0 * x1 * t + 2.0 * t3 * u)]
+                v * (-gamma[0] + 2.0 * x1 * t + 2.0 * t3 * u)]
 
     return SingularIVP(M_minus1, M, [u0, 0.0], np.diag([-2.0, -6.0]),
                        label="su23-p1(x1=%g)" % x1, meta={"x1": x1})
@@ -259,9 +259,7 @@ def su23_pid_ivp(s, y0):
     """Reduced singular problem for x = 2/t + t u, y = y0 + t^2 v."""
     _require_symmetric(s)
     cf = coefficient_functions(s)
-    phi, gamma = cf.phi[0], cf.gamma[0]
-    phi_hat, gamma_hat = cf.phi_hat[0], cf.gamma_hat[0]
-    p1, g1 = cf.phi1[0], cf.gamma1[0]
+    row, p1, g1 = cf.row, cf.phi1[0], cf.gamma1[0]
     y0 = _finite("y0", y0)
     u0 = 0.25 * (y0 * y0 - 2.0 * p1)
     v0 = y0 * u0 - 0.5 * y0 * g1
@@ -272,11 +270,12 @@ def su23_pid_ivp(s, y0):
                 -2.0 * v + 2.0 * y0 * u - y0 * g1]
 
     def M(t, y):
+        phi, gamma, _, _, phi_hat, _, gamma_hat = row(t)
         u, v = y[0], y[1]
         t3 = t * t * t
-        return [-2.0 * phi_hat(t) - phi(t) * u + 2.0 * y0 * t * v
+        return [-2.0 * phi_hat[0] - phi[0] * u + 2.0 * y0 * t * v
                 + t3 * v * v - t * u * u,
-                -y0 * gamma_hat(t) - gamma(t) * v + 2.0 * t * u * v]
+                -y0 * gamma_hat[0] - gamma[0] * v + 2.0 * t * u * v]
 
     return SingularIVP(M_minus1, M, [u0, v0],
                        [[-4.0, 0.0], [2.0 * y0, -2.0]],
@@ -367,8 +366,7 @@ def p1_ivp(s, f1=(1.0, 1.0, 1.0)):
     if len(f1) != 3 or not all(math.isfinite(x) for x in f1):
         raise ValueError("f1 must be three finite numbers")
     cf = coefficient_functions(s)
-    p1v, phi, gamma = cf.phi1, cf.phi, cf.gamma
-    phi_hat = cf.phi_hat
+    p1v, row = cf.phi1, cf.row
 
     def M_minus1(y):
         out = [None] * 6
@@ -378,15 +376,16 @@ def p1_ivp(s, f1=(1.0, 1.0, 1.0)):
         return out
 
     def M(t, y):
+        phi, gamma, _, _, phi_hat, _, _ = row(t)
         t3 = t * t * t
         out = [None] * 6
         for i, j, k in CYC0:
             u_i, u_j, u_k = y[i], y[j], y[k]
             v_j, v_k = y[3 + j], y[3 + k]
-            out[i] = (-f1[i] * phi_hat[i](t) - phi[i](t) * u_i
+            out[i] = (-f1[i] * phi_hat[i] - phi[i] * u_i
                       + t * (v_j * v_k - f1[j] * u_k - f1[k] * u_j)
                       - t3 * u_j * u_k)
-            out[3 + i] = (-gamma[i](t) * y[3 + i]
+            out[3 + i] = (-gamma[i] * y[3 + i]
                           + t * (v_j * f1[k] + f1[j] * v_k)
                           + t3 * (v_j * u_k + u_j * v_k))
         return out
@@ -458,9 +457,7 @@ def pid_ivp(s, b0_minus, u2_0=0.0, u3_0=0.0):
     u1 = float(np.mean(sum_u)) - u2_0 - u3_0
     y0 = np.array([u1, u2_0, u3_0, v0[0], v0[1], v0[2]])
 
-    phi, gamma = cf.phi, cf.gamma
-    phi3 = cf.phi3
-    dphi, gamma_hat = cf.dphi, cf.gamma_hat
+    phi3, row = cf.phi3, cf.row
 
     def M_minus1(y):
         out = [None] * 6
@@ -472,16 +469,17 @@ def pid_ivp(s, b0_minus, u2_0=0.0, u3_0=0.0):
         return out
 
     def M(t, y):
+        phi, gamma, _, _, _, dphi, gamma_hat = row(t)
         t3 = t * t * t
         out = [None] * 6
         for i, j, k in CYC0:
             u_i, u_j, u_k = y[i], y[j], y[k]
             v_i, v_j, v_k = y[3 + i], y[3 + j], y[3 + k]
             out[i] = (t * (v_j * v_k - beta[j] * u_k - beta[k] * u_j
-                           - 2.0 * dphi[i](t) - beta[i] * phi3[i])
-                      - phi[i](t) * u_i - beta[i] * t3 * dphi[i](t)
+                           - 2.0 * dphi[i] - beta[i] * phi3[i])
+                      - phi[i] * u_i - beta[i] * t3 * dphi[i]
                       - t3 * u_j * u_k)
-            out[3 + i] = (-b0m * gamma_hat[i](t) - gamma[i](t) * v_i
+            out[3 + i] = (-b0m * gamma_hat[i] - gamma[i] * v_i
                           + t * (b0m * (u_j + u_k) + beta[k] * v_j
                                  + beta[j] * v_k)
                           + t3 * (v_j * u_k + u_j * v_k))
@@ -532,11 +530,11 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
     am0 = tuple(float(x) for x in aminus_t0)
     if not all(math.isfinite(x) for x in ap0 + am0):
         raise ValueError("aplus_t0 and aminus_t0 must be finite")
-    cf = coefficient_functions(s)
-    rates = list(cf.a_plus_rate) + list(cf.a_minus_rate)
+    row = coefficient_functions(s).row
 
     def rhs(t, y):
-        return [r(t) for r in rates]
+        _, _, a_plus, a_minus, _, _, _ = row(t)
+        return [*a_plus, *a_minus]
 
     lo, hi = 1e-6, s.t_max
     sol_up = solve_ivp(rhs, (t0, hi), np.zeros(6), method="DOP853",

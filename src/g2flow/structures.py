@@ -77,7 +77,7 @@ class StructureData:
         Each distinct evaluator is called once: a symmetric structure
         (whose three evaluators in each tuple agree) evaluates index 0
         and repeats the value.  The last (t, frame) is kept as one tuple,
-        replaced in a single assignment, like CoefficientFns._direct.
+        replaced in a single assignment, like CoefficientFns.row.
         """
         last = self._last
         if last[0] == t:
@@ -360,10 +360,7 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
 class _RegularFn:
     """Analytic scalar function of t on [0, t_max]: Taylor polynomial
     below a cutoff, closed form above it, which must itself reject nan
-    and t past t_max (each here reads a guarded profile evaluator).  At
-    the variable-t series ps_var(n), which the series bootstrap passes,
-    it returns the polynomial truncated to order n; other series are
-    rejected."""
+    and t past t_max (each here reads a guarded profile evaluator)."""
 
     __slots__ = ("poly", "direct", "cutoff", "t_max")
 
@@ -374,10 +371,6 @@ class _RegularFn:
         self.t_max = t_max
 
     def __call__(self, t):
-        if isinstance(t, PowerSeries):
-            if t != ps_var(t.order):
-                raise ValueError("only the variable-t series is supported")
-            return PowerSeries(self.poly, order=t.order)
         if t < self.cutoff:
             return self.poly(_in_range(t, self.t_max))
         return self.direct(t)
@@ -399,19 +392,8 @@ def _radius_from_tail(ps):
     return math.inf
 
 
-# Closed forms of the CoefficientFns tables above their cutoffs, bound per
-# index with functools.partial; only CoefficientFns._direct reads profiles.
-
-def _pick(direct, k, i, t):
-    return direct(t)[k][i]
-
-
-def _deflate2(reg, c1, t):
-    return (reg(t) - c1 * t) / (t * t)
-
-
-def _deflate5(reg, c1, c3, t):
-    return (reg(t) - c1 * t - c3 * t ** 3) / t ** 5
+def _entry(row, k, i, t):
+    return row(t)[k][i]
 
 
 def _with_pole(c, sign, reg, t):
@@ -423,9 +405,10 @@ def _with_pole(c, sign, reg, t):
 class CoefficientFns:
     """The six bracketed ODE coefficients and their regular parts.
 
-    Attributes (tuples indexed by i = 0, 1, 2):
+    Each regular table below is a view of row(t), the seven tables at
+    one t.  Attributes (tuples indexed by i = 0, 1, 2):
       F, G           full coefficients, F_i = -1/t + phi_i, G_i = 4/t + gamma_i
-      phi, gamma     pole-free odd parts (dual-mode evaluators)
+      phi, gamma     pole-free odd parts
       phi_hat        (phi_i - phi_{i,1} t)/t^2
       dphi           (phi_i - phi_{i,1} t - phi_{i,3} t^3)/t^5
       gamma_hat      (gamma_i - gamma_{i,1} t)/t^2
@@ -433,13 +416,13 @@ class CoefficientFns:
       a_minus_rate   h_i - 4/t, same for the a_i^- branch
       phi1, phi3, gamma1   leading Taylor coefficients
     For symmetric structures scalar_F(t) = 1/t - phi_1(t) is the signed
-    coefficient of the scalar x-equation.  Above the cutoffs every table
-    reads the closed forms of one _direct(t) evaluation.
+    coefficient of the scalar x-equation.
     """
 
     def __init__(self, s):
         self.structure = s
         self._last = (None, None)
+        self._series = {}
         n = min(sr.order for sr in (s.A_series + s.B_series))
         A_ps = [PowerSeries(sr, order=n) for sr in s.A_series]
         B_ps = [PowerSeries(sr, order=n) for sr in s.B_series]
@@ -462,64 +445,83 @@ class CoefficientFns:
         # the disc or truncation overwhelms the direct-path rounding
         rho = min(min(_radius_from_tail(d[0]), _radius_from_tail(d[1]))
                   for d in data)
-        c_cut = min(COEFF_SERIES_CUTOFF, 0.25 * rho)
-        d_cut = min(DEFLATION_CUTOFF, 0.22 * rho)
-        self.coeff_cutoff = c_cut
-        self.defl_cutoff = d_cut
-
-        # phi, gamma, a_plus_rate, a_minus_rate: the series of data[i][k]
-        # below c_cut, entry [k][i] of _direct(t) above it
-        self.phi, self.gamma, self.a_plus_rate, self.a_minus_rate = (
-            tuple(_RegularFn(d[k], partial(_pick, self._direct, k, i), c_cut,
-                             s.t_max)
-                  for i, d in enumerate(data)) for k in range(4))
+        self.coeff_cutoff = min(COEFF_SERIES_CUTOFF, 0.25 * rho)
+        self.defl_cutoff = min(DEFLATION_CUTOFF, 0.22 * rho)
         self.phi1 = tuple(ps[1] for ps, _, _, _ in data)
         self.phi3 = tuple(ps[3] for ps, _, _, _ in data)
         self.gamma1 = tuple(ps[1] for _, ps, _, _ in data)
         self.phi_series = [PowerSeries(d[0], parity="odd") for d in data]
 
-        phi_hat, dphi, gamma_hat = [], [], []
+        # Taylor polynomials of the seven slots, polys[k][i]
+        polys = [[d[k] for d in data] for k in range(4)] + [[], [], []]
         for i, (phi_ps, gamma_ps, _, _) in enumerate(data):
-            p1, p3, g1 = self.phi1[i], self.phi3[i], self.gamma1[i]
             tvar = ps_var(max(phi_ps.order, 1))
             gvar = ps_var(max(gamma_ps.order, 1))
-            phi_hat.append(_RegularFn(
-                _shift_pad(phi_ps - tvar * p1, 2),
-                partial(_deflate2, self.phi[i], p1), d_cut, s.t_max))
-            dphi.append(_RegularFn(
-                _shift_pad(phi_ps - tvar * p1 - (tvar ** 3) * p3, 5),
-                partial(_deflate5, self.phi[i], p1, p3), d_cut, s.t_max))
-            gamma_hat.append(_RegularFn(
-                _shift_pad(gamma_ps - gvar * g1, 2),
-                partial(_deflate2, self.gamma[i], g1), d_cut, s.t_max))
-        self.phi_hat = tuple(phi_hat)
-        self.dphi = tuple(dphi)
-        self.gamma_hat = tuple(gamma_hat)
+            polys[4].append(_shift_pad(phi_ps - tvar * self.phi1[i], 2))
+            polys[5].append(_shift_pad(phi_ps - tvar * self.phi1[i]
+                                       - (tvar ** 3) * self.phi3[i], 5))
+            polys[6].append(_shift_pad(gamma_ps - gvar * self.gamma1[i], 2))
+        self._polys = tuple(tuple(PowerSeries([float(c) for c in ps])
+                                  for ps in slot) for slot in polys)
+
+        (self.phi, self.gamma, self.a_plus_rate, self.a_minus_rate,
+         self.phi_hat, self.dphi, self.gamma_hat) = (
+            tuple(partial(_entry, self.row, k, i) for i in range(3))
+            for k in range(7))
         self.F = tuple(partial(_with_pole, -1.0, 1.0, f) for f in self.phi)
         self.G = tuple(partial(_with_pole, 4.0, 1.0, f) for f in self.gamma)
         self.scalar_F = (partial(_with_pole, 1.0, -1.0, self.phi[0])
                          if s.symmetric else None)
 
-    def _direct(self, t):
-        """Closed-form (phi, gamma, q, pB) at t, three values each, from
-        one profile frame.  The last t and its values are kept as one
-        tuple, replaced in a single assignment, so every table read at
-        the same t shares the frame, also across threads."""
+    def row(self, t):
+        """(phi, gamma, a_plus_rate, a_minus_rate, phi_hat, dphi,
+        gamma_hat) at t, three values each: Taylor polynomials below
+        coeff_cutoff (defl_cutoff for the last three), above it the closed
+        forms of one profile frame (deflations of phi and gamma).  A
+        symmetric structure evaluates index 0 and repeats it.  The last
+        (t, row) is one tuple, set in a single assignment, so all reads at
+        one t share it, also across threads.  At ps_var(n) each slot is
+        its polynomial truncated to order n; other series are rejected."""
+        if isinstance(t, PowerSeries):
+            if t != ps_var(t.order):
+                raise ValueError("only the variable-t series is supported")
+            rows = self._series.get(t.order)
+            if rows is None:
+                rows = self._series[t.order] = tuple(
+                    tuple(PowerSeries(p, order=t.order) for p in slot)
+                    for slot in self._polys)
+            return rows
         last = self._last
         if last[0] == t:
             return last[1]
-        A, B, dA, dB = self.structure.frame(t)
-        phi, gamma, q, pB = [], [], [], []
-        for i, j, k in CYC0:
-            AoBB = A[i] / (B[j] * B[k])
-            AoAA = A[i] / (A[j] * A[k])
-            BoBA = B[i] / (B[j] * A[k])
-            BoAB = B[i] / (A[j] * B[k])
-            phi.append(dA[i] / A[i] + AoBB - AoAA + 1.0 / t)
-            gamma.append(dB[i] / B[i] + BoBA + BoAB - 4.0 / t)
-            q.append(AoBB - AoAA + 2.0 / t)
-            pB.append(BoBA + BoAB - 4.0 / t)
-        values = (phi, gamma, q, pB)
+        s = self.structure
+        n = 1 if s.symmetric else 3
+        if t < self.coeff_cutoff or t < self.defl_cutoff:
+            _in_range(t, s.t_max)
+        if t < self.coeff_cutoff:
+            reg = [[p[i](t) for i in range(n)] for p in self._polys[:4]]
+        else:
+            A, B, dA, dB = s.frame(t)
+            reg = [[], [], [], []]
+            for i, j, k in CYC0[:n]:
+                AoBB = A[i] / (B[j] * B[k])
+                AoAA = A[i] / (A[j] * A[k])
+                BoBA = B[i] / (B[j] * A[k])
+                BoAB = B[i] / (A[j] * B[k])
+                reg[0].append(dA[i] / A[i] + AoBB - AoAA + 1.0 / t)
+                reg[1].append(dB[i] / B[i] + BoBA + BoAB - 4.0 / t)
+                reg[2].append(AoBB - AoAA + 2.0 / t)
+                reg[3].append(BoBA + BoAB - 4.0 / t)
+        if t < self.defl_cutoff:
+            defl = [[p[i](t) for i in range(n)] for p in self._polys[4:]]
+        else:
+            phi, gamma = reg[0], reg[1]
+            p1, p3, g1 = self.phi1, self.phi3, self.gamma1
+            defl = [[(phi[i] - p1[i] * t) / (t * t) for i in range(n)],
+                    [(phi[i] - p1[i] * t - p3[i] * t ** 3) / t ** 5
+                     for i in range(n)],
+                    [(gamma[i] - g1[i] * t) / (t * t) for i in range(n)]]
+        values = tuple(tuple(v) * (3 // n) for v in reg + defl)
         self._last = (t, values)
         return values
 

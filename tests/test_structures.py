@@ -344,13 +344,24 @@ def test_residual_reads_one_frame_per_node(bs, family):
         assert calls[0] - before == 20
 
 
+_ROW = ("phi", "gamma", "a_plus_rate", "a_minus_rate", "phi_hat", "dphi",
+        "gamma_hat")
+
+
 def test_regular_fn_truncates_at_variable_series(bs):
-    phi = coefficient_functions(bs).phi[0]
-    got = phi(ps_var(8))
-    assert list(got) == list(phi.poly)[:9]
+    # every table read at ps_var(8) is the first 9 coefficients of its
+    # slot's polynomial, the polynomial its float reads evaluate below
+    # the cutoffs
+    cf = coefficient_functions(bs)
+    for k, name in enumerate(_ROW):
+        for i in range(3):
+            poly = cf._polys[k][i]
+            assert list(getattr(cf, name)[i](ps_var(8))) == list(poly)[:9]
+            assert getattr(cf, name)[i](0.01) == poly(0.01)
     for bad in (ps_var(8) * 2.0, ps_var(8) + 0.1, ps_var(8) ** 2):
-        with pytest.raises(ValueError, match="variable-t series"):
-            phi(bad)
+        for read in (cf.phi[0], cf.dphi[2], cf.a_minus_rate[1]):
+            with pytest.raises(ValueError, match="variable-t series"):
+                read(bad)
 
 
 def test_frame_matches_evaluators_bitwise(bs, lin):
@@ -413,7 +424,9 @@ def test_coefficient_tables_thread_safe(bs):
         return tuple(fn(t).hex() for name in _TABLES
                      for fn in getattr(cf, name))
 
-    ts = [float(t) for t in np.linspace(0.06, 12.0, 200)]
+    # the series band (t below coeff_cutoff 0.05) and the frame band
+    ts = [float(t) for t in np.concatenate([np.linspace(0.005, 0.05, 40),
+                                            np.linspace(0.06, 12.0, 200)])]
     serial = CoefficientFns(bs)
     shared = CoefficientFns(bs)
     assert _threads_agree(partial(values, shared),

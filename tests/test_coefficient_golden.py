@@ -26,6 +26,7 @@ from g2flow.structures import (coefficient_functions, make_bryant_salamon,
                                structure_to_json)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "coefficient_golden.json")
+# the seven slots of CoefficientFns.row, then the two with a pole
 TABLES = ("phi", "gamma", "a_plus_rate", "a_minus_rate", "phi_hat", "dphi",
           "gamma_hat", "F", "G")
 # 0.0235 lies between the cutoffs of linear-b0-0.05 (0.022 and 0.025)
@@ -88,16 +89,15 @@ def capture():
     out = {}
     for name, s in _structures().items():
         cf = coefficient_functions(s)
-        tables = {name: getattr(cf, name) for name in TABLES}
+        tables = {k: getattr(cf, k) for k in TABLES}
         if cf.scalar_F is not None:
             tables["scalar_F"] = (cf.scalar_F,)
-        regular = {k: v for k, v in tables.items() if k not in ("F", "G",
-                                                               "scalar_F")}
         entry = {
             "tables": {repr(t): {k: _hex(f(t) for f in fns)
                                  for k, fns in tables.items()} for t in TS},
-            "series": {k: _hex(f(ps_var(8)) for f in fns)
-                       for k, fns in regular.items()},
+            # F and G have a pole at 0 and take no series
+            "series": {k: _hex(f(ps_var(8)) for f in tables[k])
+                       for k in TABLES[:7]},
             "fields": {}}
         for label, M in _fields(s).items():
             dim = 6 if label in ("p1", "pid", "abelian") else 2

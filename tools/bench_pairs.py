@@ -70,16 +70,12 @@ def summarize(runs, better):
     """The summary block of OUT.json from the run records."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        sides = {side: sorted((r for r in runs if r["workload"] == workload
-                               and r["side"] == side),
-                              key=lambda r: r["seed"])
+        # runs are appended pair by pair in seed order
+        sides = {side: [r for r in runs if r["workload"] == workload
+                        and r["side"] == side]
                  for side in ("parent", "change")}
-        paired = {r["seed"] for r in sides["parent"]} & {
-            r["seed"] for r in sides["change"]}
-        sides = {k: [r for r in v if r["seed"] in paired]
-                 for k, v in sides.items()}
         block = {}
-        for name in sides["parent"][0]["metrics"] if paired else ():
+        for name in sides["parent"][0]["metrics"]:
             entry = {}
             for side, recs in sides.items():
                 vals = [round(r["metrics"][name], 4) for r in recs]
@@ -96,7 +92,8 @@ def summarize(runs, better):
                 sign = 1 if better[name] == "lower" else -1
                 won = sum(1 for p, c in zip(entry["parent"], entry["change"])
                           if sign * (c - p) < 0)
-                entry["pairs_change_better"] = "%d of %d" % (won, len(paired))
+                entry["pairs_change_better"] = "%d of %d" % (
+                    won, len(entry["parent"]))
             block[name] = entry
         for count in ("failed", "attempted"):
             block[count] = {side: sum(r[count] for r in recs)

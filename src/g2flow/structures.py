@@ -581,7 +581,7 @@ def structure_from_json(doc):
 
     Evaluators use cubic-spline interpolation of the samples (end slopes
     of A and B clamped to the stored derivatives); Taylor data comes from
-    the series block.
+    the series block.  Symmetric if each table's three entries agree.
     """
     unknown = set(doc) - _STRUCTURE_KEYS
     if unknown:
@@ -627,8 +627,8 @@ def structure_from_json(doc):
     for got, want in zip([b2] + a3 + a5, derived):
         if not abs(got - want) <= 1e-12 * max(1.0, abs(want)):
             raise ValueError("b2, a3 and a5 must match the series block")
-    same = all(samples[key][0] == samples[key][1] == samples[key][2]
-               for key in ("A", "B", "dA", "dB"))
+    same = all(b[0] == b[1] == b[2] for b in [series["A"], series["B"]]
+               + [samples[key] for key in ("A", "B", "dA", "dB")])
     return StructureData(doc["label"], A, B, dA, dB, A_series, B_series,
                          b0=b0, b2=b2, t_max=t_max, symmetric=same)
 

@@ -2,11 +2,13 @@
 sides.
 
 coefficient_golden.json holds the float.hex() of every coefficient table
-entry (and F, G, scalar_F) on five structures, at points on both sides
+entry (and F, G, scalar_F) on six structures, at points on both sides
 of both cutoffs, of every table at the variable-t series, and of the
 M(t, y) of p1_ivp, pid_ivp, su23_p1_ivp, su23_pid_ivp and of the abelian
 rate right-hand side at three (t, y) points and at series input.  Any
-change to how these are evaluated must keep every bit.
+change to how these are evaluated must keep every bit.  A structure
+whose three series blocks differ is not symmetric, so it has no
+scalar_F and no su23 fields.
 
 Regenerate (only for a deliberate change of values) with
     PYTHONPATH=src python tests/test_coefficient_golden.py
@@ -41,10 +43,15 @@ def _structures():
     # the asymmetric structure of test_frame_matches_evaluators_bitwise
     doc = structure_to_json(bs, n_samples=41)
     doc["samples"]["dA"][2] = [1.01 * v for v in doc["samples"]["dA"][2]]
+    # equal samples, but series block 1 of A differs from blocks 0 and 2:
+    # below the cutoffs each index reads its own block
+    series_doc = structure_to_json(bs, n_samples=41)
+    series_doc["series"]["A"][1][7] *= 1.5
     return {"bryant-salamon": bs,
             "linear": make_linear_example(1.0, t_max=5.0),
             "su23-cli": build_structure({"kind": "su23"}),
             "json-asymmetric": structure_from_json(doc),
+            "json-series-asymmetric": structure_from_json(series_doc),
             "linear-b0-0.05": make_linear_example(0.05, t_max=5.0)}
 
 

@@ -370,6 +370,10 @@ def test_frame_matches_evaluators_bitwise(bs, lin):
     doc["samples"]["dA"][2] = [1.01 * v for v in doc["samples"]["dA"][2]]
     asym = structure_from_json(doc)
     assert not asym.symmetric
+    # equal samples with one unequal series block are not symmetric either
+    doc = structure_to_json(bs, n_samples=41)
+    doc["series"]["A"][1][7] *= 1.5
+    assert not structure_from_json(doc).symmetric
     for s in (bs, lin, asym):
         for t in (0.0, 0.01, 0.37, 1.0, 4.5):
             want = tuple(tuple(f(t).hex() for f in fns)

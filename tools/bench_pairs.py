@@ -2,17 +2,18 @@
 
 Usage: python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE OUT.json
            [--workloads bs-solve,bs-verify,linear-scan] [--seeds 1-10]
-           [--seconds 15] [--trace 0] [--what TEXT]
+           [--seconds 15]
 
 For each workload and seed it runs PARENT_TREE/perfbench/run.py and
-CHANGE_TREE/perfbench/run.py one after the other, the parent first on odd
-seeds and the change first on even ones, so a slow spell of the machine
-falls on both sides alike.  Each tree runs its own perfbench/ on its own
-src/; nothing under either perfbench/ is changed (run.py itself writes its
-full result into the tree's .perfbench/).  OUT.json is rewritten after every
-pair with the layout of the committed BENCH_*.json files:
+CHANGE_TREE/perfbench/run.py, untraced (--trace 0), one after the other,
+the parent first on odd seeds and the change first on even ones, so a
+slow spell of the machine falls on both sides alike.  Each tree runs its
+own perfbench/ on its own src/; nothing under either perfbench/ is
+changed (run.py itself writes its full result into the tree's
+.perfbench/).  OUT.json is rewritten after every pair with the layout of
+the committed BENCH_*.json files:
 
-    what      what was compared (--what)
+    what      what was compared and how
     machine   cpu count and the Python, numpy and scipy versions
     commands  the run.py command line
     summary   per workload and metric: both sides' values in seed order,
@@ -20,8 +21,8 @@ pair with the layout of the committed BENCH_*.json files:
               the change won ("better" from CHANGE_TREE/BENCHMARK.json);
               failed and attempted task counts
     runs      one record per run.py call: side, workload, seed, seconds,
-              trace, first_in_pair, attempted, failed, metrics and the
-              per-task seconds
+              trace (always 0), first_in_pair, attempted, failed, metrics
+              and the per-task seconds
 """
 
 import argparse
@@ -41,11 +42,12 @@ def parse_seeds(text):
     return [int(x) for x in text.split(",")]
 
 
-def run_once(tree, workload, seed, seconds, trace):
-    """One perfbench run.py call on tree: (summary line, full result)."""
+def run_once(tree, workload, seed, seconds):
+    """One untraced perfbench run.py call on tree: (summary line, full
+    result)."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", str(trace)]
+           "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError("%s failed (exit %d): %s" % (
@@ -118,10 +120,6 @@ def main(argv=None):
     ap.add_argument("--workloads", default="bs-solve,bs-verify,linear-scan")
     ap.add_argument("--seeds", default="1-10")
     ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--what", default="perfbench/run.py results of the "
-                    "parent and the change trees, alternating same-seed "
-                    "pairs in one session")
     args = ap.parse_args(argv)
     trees = {"parent": os.path.abspath(args.parent_tree),
              "change": os.path.abspath(args.change_tree)}
@@ -129,20 +127,23 @@ def main(argv=None):
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             ap.error("no perfbench/run.py under %s" % tree)
     better = directions(trees["change"])
-    doc = {"what": args.what, "machine": machine(),
+    doc = {"what": "perfbench/run.py results of PARENT_TREE and "
+                   "CHANGE_TREE in alternating same-seed pairs (parent "
+                   "first on odd seeds) in one session, made with "
+                   "tools/bench_pairs.py",
+           "machine": machine(),
            "commands": ["python3 perfbench/run.py --workload W --seed S "
-                        "--seconds %g --trace %d" % (args.seconds,
-                                                     args.trace)],
+                        "--seconds %g --trace 0" % args.seconds],
            "summary": {}, "runs": []}
     for workload in args.workloads.split(","):
         for seed in parse_seeds(args.seeds):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
                 line, detail = run_once(trees[side], workload, seed,
-                                        args.seconds, args.trace)
+                                        args.seconds)
                 doc["runs"].append({
                     "side": side, "workload": workload, "seed": seed,
-                    "seconds": args.seconds, "trace": args.trace,
+                    "seconds": args.seconds, "trace": 0,
                     "first_in_pair": order[0],
                     "attempted": line["attempted"], "failed": line["failed"],
                     "metrics": {k: v["value"]

@@ -27,19 +27,17 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._series import ps_var
 from .algebra import ConnectionCoeffs
 # malgrange_check and series_bootstrap stay importable from this module:
 # perfbench/tracing.py patches the layer entry points here by name
-from .singular_ivp import (EventSpec, SingularIVP, blowup_event,
-                           dense_reader, integrate, malgrange_check,
-                           series_bootstrap, series_handoff)
+from .singular_ivp import (EventSpec, SingularIVP, _dop853, blowup_event,
+                           integrate, malgrange_check, series_bootstrap,
+                           series_handoff)
 from .structures import (CYC0, _RegularFn, _finite, _in_range,
                          _positive_finite, coefficient_functions)
 
@@ -112,11 +110,8 @@ def _eq_data(s, t_need):
         return [phi1(t) if t > 0 else 0.0,
                 t * math.exp(-y[0])]
 
-    sol = solve_ivp(rhs, (0.0, horizon), [0.0, 0.0], method="DOP853",
-                    rtol=1e-13, atol=1e-16, dense_output=True)
-    if not sol.success:
-        raise RuntimeError("quadrature for (E, Q) failed: %s" % sol.message)
-    dense = dense_reader(sol.sol)
+    dense = _dop853(rhs, (0.0, horizon), [0.0, 0.0], 1e-13, 1e-16, (),
+                    "(E, Q)").meta["interp"]
 
     phi_ps = cf.phi_series[0]
     E_ps = ps_var(phi_ps.order + 1) * (-(phi_ps.integ())).exp()
@@ -294,8 +289,6 @@ def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13):
     _require_symmetric(s)
     y0 = _finite("y0", y0)
     eps, tol = _positive_finite("eps", eps), _positive_finite("tol", tol)
-    if not (isinstance(order, numbers.Integral) and order >= 0):
-        raise ValueError("order must be an integer >= 0")
     A1, B1 = s.A[0], s.B[0]
     hi = min(float(t_end), s.t_max)
     if not eps < hi:
@@ -537,14 +530,8 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
         return [*a_plus, *a_minus]
 
     lo, hi = 1e-6, s.t_max
-    sol_up = solve_ivp(rhs, (t0, hi), np.zeros(6), method="DOP853",
-                       rtol=3e-13, atol=1e-15, dense_output=True)
-    sol_dn = solve_ivp(rhs, (t0, lo), np.zeros(6), method="DOP853",
-                       rtol=3e-13, atol=1e-15, dense_output=True)
-    if not (sol_up.success and sol_dn.success):
-        raise RuntimeError("abelian rate quadrature failed")
-
-    up, down = dense_reader(sol_up.sol), dense_reader(sol_dn.sol)
+    up, down = (_dop853(rhs, (t0, end), np.zeros(6), 3e-13, 1e-15, (),
+                        "abelian rates").meta["interp"] for end in (hi, lo))
 
     def f6(t):
         iv = (up if t >= t0 else down)(t)

@@ -16,6 +16,8 @@ evaluated at the variable-t series ps_var(order).
 
 from __future__ import annotations
 
+import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -152,6 +154,8 @@ def series_bootstrap(ivp, order=8, check=None):
     with the coefficient extraction done by evaluating M_{-1} and M on
     truncated power series.
     """
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise ValueError("order must be an integer >= 0")
     rep = check if check is not None else malgrange_check(ivp)
     if not rep.gate_pass:
         raise PreconditionError(
@@ -204,6 +208,8 @@ class EventSpec:
 
 def blowup_event(threshold=1e8):
     """Fires when the sup norm of the state reaches the threshold."""
+    if not 0.0 < threshold < math.inf:
+        raise ValueError("threshold must be finite and positive")
 
     def fn(t, y):
         return threshold - float(np.max(np.abs(y)))
@@ -253,6 +259,32 @@ class Trajectory:
             self.t[-1] if self.t.size else float("nan"), self.events)
 
 
+def _dop853(rhs, t_span, y0, rtol, atol, events, label):
+    """The package's one DOP853 solve.  EventSpec events are recorded by
+    time, meta["interp"] is the dense_reader of the dense output, and a
+    failed step controller (status -1) raises IntegrationError."""
+    def scipy_event(ev):
+        def g(t, y):
+            return float(ev.fn(t, y))
+        g.terminal, g.direction = ev.terminal, ev.direction
+        return g
+
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True,
+                    events=[scipy_event(ev) for ev in events] or None)
+    recorded = sorted(((ev.kind, float(te))
+                       for ev, tes in zip(events, sol.t_events or ())
+                       for te in tes), key=lambda e: e[1])
+    meta = {"interp": dense_reader(sol.sol), "nfev": sol.nfev,
+            "status": sol.status, "success": bool(sol.success),
+            "label": label, "rtol": rtol}
+    traj = Trajectory(sol.t, sol.y, recorded, meta)
+    if sol.status == -1:
+        raise IntegrationError(
+            "integration of %r failed: %s" % (label, sol.message), traj)
+    return traj
+
+
 def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
     """Adaptive high-order integration with event recording.
 
@@ -266,6 +298,8 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
                          "of the integrator (100 machine epsilons)"
                          % (tol, RTOL_FLOOR))
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t_span must be finite, got (%g, %g)" % (t0, t1))
     y0 = np.asarray(y0, dtype=float)
     evs = list(events)
     pre = []
@@ -273,33 +307,20 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
         if ev.fn(t0, y0) <= 0.0:
             pre.append((ev.kind, t0))
             if ev.terminal:
-                traj = Trajectory([t0], y0.reshape(-1, 1), pre,
+                return Trajectory([t0], y0.reshape(-1, 1), pre,
                                   {"label": label, "status": 1,
                                    "success": True, "nfev": 0})
-                return traj
 
-    wrapped = []
-    for ev in evs:
-        def g(t, y, ev=ev):
-            return float(ev.fn(t, y))
-        g.terminal = ev.terminal
-        g.direction = ev.direction
-        wrapped.append(g)
+    def with_pre(traj):
+        traj.events = sorted(pre + traj.events, key=lambda e: e[1])
+        return traj
 
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-3, dense_output=True, events=wrapped)
-    recorded = list(pre)
-    for ev, te in zip(evs, sol.t_events):
-        recorded.extend((ev.kind, float(x)) for x in te)
-    recorded.sort(key=lambda e: e[1])
-    meta = {"interp": dense_reader(sol.sol), "nfev": sol.nfev,
-            "status": sol.status, "success": bool(sol.success),
-            "label": label, "rtol": tol}
-    traj = Trajectory(sol.t, sol.y, recorded, meta)
-    if sol.status == -1:
-        raise IntegrationError(
-            "integration of %r failed: %s" % (label, sol.message), traj)
-    return traj
+    try:
+        return with_pre(_dop853(rhs, (t0, t1), y0, tol, tol * 1e-3, evs,
+                                label))
+    except IntegrationError as exc:
+        with_pre(exc.trajectory)
+        raise
 
 
 def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=()):

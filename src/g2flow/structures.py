@@ -26,11 +26,9 @@ import math
 from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from ._series import PowerSeries, ps_const, ps_var
-from .singular_ivp import dense_reader
+from .singular_ivp import EventSpec, _dop853
 
 SERIES_ORDER = 26
 COEFF_SERIES_CUTOFF = 0.05
@@ -185,18 +183,12 @@ def make_bryant_salamon(r_max=60.0):
         return [0.5 * math.sqrt((3.0 + x * (3.0 + x)) / (1.0 + x) ** 3)]
 
     w_max = math.sqrt(r_max - 1.0)
-
-    def hit(t, y):
-        return y[0] - w_max
-    hit.terminal = True
-    hit.direction = 1
-
-    sol = solve_ivp(wrate, (0.0, r_max + 6.0), [0.0], method="DOP853",
-                    rtol=1e-13, atol=1e-14, dense_output=True, events=[hit])
-    if not sol.t_events[0].size:
-        raise RuntimeError("radial coordinate failed to reach r_max")
-    t_max = float(sol.t_events[0][0])
-    dense = dense_reader(sol.sol)
+    hit = EventSpec("r_max", lambda t, y: y[0] - w_max, terminal=True,
+                    direction=1.0)
+    traj = _dop853(wrate, (0.0, r_max + 6.0), [0.0], 1e-13, 1e-14, [hit],
+                   "bryant-salamon w")
+    t_max = traj.event_times("r_max")[0]
+    dense = traj.meta["interp"]
 
     def wof(t):
         return dense(_in_range(t, t_max))[0]
@@ -315,11 +307,8 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
         a = a1(t)
         return [g_reg(t), a * a * a * math.exp(-y[0]) / (t * t)]
 
-    sol = solve_ivp(rhs, (0.0, horizon), [0.0, 0.0], method="DOP853",
-                    rtol=1e-12, atol=1e-15, dense_output=True)
-    if not sol.success:
-        raise RuntimeError("B-from-A quadrature failed: %s" % sol.message)
-    dense = dense_reader(sol.sol)
+    dense = _dop853(rhs, (0.0, horizon), [0.0, 0.0], 1e-12, 1e-15, (),
+                    "B-from-A").meta["interp"]
     c0 = 0.25 * b0 * b0
 
     def Pfun(t):
@@ -583,6 +572,8 @@ def structure_from_json(doc):
     of A and B clamped to the stored derivatives); Taylor data comes from
     the series block.  Symmetric if each table's three entries agree.
     """
+    from scipy.interpolate import CubicSpline
+
     unknown = set(doc) - _STRUCTURE_KEYS
     if unknown:
         raise ValueError("unknown structure keys: %s" % sorted(unknown))

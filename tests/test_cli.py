@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
 import pytest
 
+import g2flow
 from g2flow.cli import build_parser, main
-from g2flow.instantons import (abelian_connection, theta_x1, theta_y0,
-                               theta_zero)
+from g2flow.instantons import (abelian_connection, su23_pid_ivp, theta_x1,
+                               theta_y0, theta_zero)
+from g2flow.singular_ivp import series_bootstrap, solve_singular
 from g2flow.structures import (make_bryant_salamon, make_linear_example,
                                make_su23_structure, save_structure)
 
@@ -131,8 +136,23 @@ def test_rejects_nonfinite(case, lin, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("order", [-1, 2.5, 10.0])
 def test_theta_y0_rejects_bad_order(lin, order):
-    with pytest.raises(ValueError, match="order must be an integer"):
-        theta_y0(lin, 0.5, order=order)
+    # series_bootstrap holds the check, for every caller
+    ivp = su23_pid_ivp(lin, 0.5)
+    for call in (lambda: theta_y0(lin, 0.5, order=order),
+                 lambda: solve_singular(ivp, order=order),
+                 lambda: series_bootstrap(ivp, order=order)):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            call()
+
+
+def test_cli_import_leaves_interpolate_unloaded():
+    # only file structures need CubicSpline
+    code = "import sys, g2flow.cli; print('scipy.interpolate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(g2flow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 # id: (argv, config document, thresholds document, key the error names);

@@ -18,7 +18,7 @@ import json
 import os
 from unittest import mock
 
-from g2flow import instantons
+from g2flow import singular_ivp
 from g2flow._series import PowerSeries, ps_var
 from g2flow.cli import build_structure
 from g2flow.instantons import (abelian_connection, p1_ivp, pid_ivp,
@@ -74,7 +74,7 @@ def _abelian_rhs(s):
     def capture(fun, *args, **kwargs):
         raise _Captured(fun)
 
-    with mock.patch.object(instantons, "solve_ivp", capture):
+    with mock.patch.object(singular_ivp, "solve_ivp", capture):
         try:
             abelian_connection(s, 1.0, (1.0, 1.0, 1.0))
         except _Captured as got:

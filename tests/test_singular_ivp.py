@@ -84,6 +84,16 @@ def test_solve_singular_matches_closed_form():
 def test_solve_singular_validates_window():
     with pytest.raises(ValueError):
         solve_singular(scalar_ivp(-2.0), eps=1.0, t_end=0.5)
+    with pytest.raises(ValueError, match="t_span must be finite"):
+        solve_singular(scalar_ivp(-2.0), t_end=math.inf)
+
+
+@pytest.mark.parametrize("span", [(0.0, math.nan), (math.nan, 1.0),
+                                  (0.0, math.inf), (-math.inf, 1.0)])
+def test_integrate_rejects_nonfinite_span(span):
+    # scipy's stepper never returns on such a span
+    with pytest.raises(ValueError, match="t_span must be finite"):
+        integrate(lambda t, y: [-y[0]], span, [1.0])
 
 
 def test_blowup_event_terminates():
@@ -94,6 +104,13 @@ def test_blowup_event_terminates():
     # y = 10/(1 - 10 t) reaches 1e6 at t = (1 - 1e-5)/10
     assert times[0] == pytest.approx(0.1 - 1e-6, abs=1e-7)
     assert traj.t[-1] <= 0.1
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+def test_blowup_event_rejects_bad_threshold(threshold):
+    # a nan margin never changes sign, so the event could never fire
+    with pytest.raises(ValueError, match="threshold"):
+        blowup_event(threshold)
 
 
 def test_region_exit_event_nonterminal():

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from g2flow import structures
+from g2flow import singular_ivp
 from g2flow._series import ps_var
 from g2flow.cli import build_structure, main
 from g2flow.instantons import (flat_pid, p1_ivp, pid_ivp, residual_pointwise,
@@ -441,7 +441,7 @@ def test_bryant_salamon_frame_evaluates_profile_once(monkeypatch):
     # A, B, dA and dB each read w(t); the reader's last (t, values) hands
     # all four the same evaluated tuple
     reads = []
-    real = structures.dense_reader
+    real = singular_ivp.dense_reader
 
     def counting_reader(sol):
         read = real(sol)
@@ -451,7 +451,7 @@ def test_bryant_salamon_frame_evaluates_profile_once(monkeypatch):
             return reads[-1]
         return counted
 
-    monkeypatch.setattr(structures, "dense_reader", counting_reader)
+    monkeypatch.setattr(singular_ivp, "dense_reader", counting_reader)
     s = make_bryant_salamon(5.0)
     for t in (0.0, 0.3, 1.7, 2.9, s.t_max):
         del reads[:]

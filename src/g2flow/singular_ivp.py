@@ -22,28 +22,29 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from ._series import PowerSeries, ps_var
 
-# scipy lifts any smaller rtol to this value and only warns
+# the integrator rejects any smaller rtol: rounding would swamp the error
+# estimate
 RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
-def dense_reader(sol):
-    """Scalar reader t -> tuple of floats, bitwise equal to sol(t) for a
-    DOP853 OdeSolution (the segment rule of OdeSolution._call_single, the
-    float operations of Dop853DenseOutput._call_impl).  Segments convert
-    on first read; the last (t, values) is one tuple set in one
-    assignment, so reads at one t evaluate once, also across threads.
-    A t outside the solved span [lo, hi (1 + 1e-9)] raises ValueError."""
-    if not all(isinstance(f, Dop853DenseOutput) for f in sol.interpolants):
-        raise TypeError("dense_reader needs a DOP853 OdeSolution")
-    ts, n = sol.ts_sorted.tolist(), sol.n_segments
+def dense_reader(ts, steps):
+    """Scalar reader t -> tuple of floats over the DOP853 step records
+    steps[i] = (t_old, h, y_old, F) between the solution times ts[i] and
+    ts[i + 1]: the float operations of the DOP853 interpolant, and a t on
+    a node reads the step that ends there.  Steps convert on first read;
+    the last (t, values) is one tuple set in one assignment, so reads at
+    one t evaluate once, also across threads.  A t outside the solved
+    span [lo, hi (1 + 1e-9)] raises ValueError."""
+    ts = [float(t) for t in ts]
+    ascending = ts[-1] >= ts[0]
+    if not ascending:
+        ts, steps = ts[::-1], steps[::-1]
+    n = len(steps)
     lo, hi = ts[0], ts[-1] + 1e-9 * abs(ts[-1])
-    find = bisect_left if sol.ascending else bisect_right
-    fs = sol.interpolants if sol.ascending else sol.interpolants[::-1]
+    find = bisect_left if ascending else bisect_right
     segments = [None] * n         # float forms, in the order of ts
     last = (None, None)
 
@@ -59,10 +60,10 @@ def dense_reader(sol):
         seg = segments[i]
         if seg is None:
             # per component: 0 + F[6], F[5], ..., F[0], y_old
-            f = fs[i]
-            seg = segments[i] = (float(f.t_old), float(f.h), list(zip(
-                (0.0 + f.F[-1]).tolist(), *f.F[-2::-1].tolist(),
-                f.y_old.tolist())))
+            t_old, h, y_old, F = steps[i]
+            seg = segments[i] = (float(t_old), float(h), list(zip(
+                (0.0 + F[-1]).tolist(), *F[-2::-1].tolist(),
+                y_old.tolist())))
         t_old, h, cols = seg
         x = (float(t) - t_old) / h
         xm = 1 - x
@@ -259,29 +260,269 @@ class Trajectory:
             self.t[-1] if self.t.size else float("nan"), self.events)
 
 
-def _dop853(rhs, t_span, y0, rtol, atol, events, label):
-    """The package's one DOP853 solve.  EventSpec events are recorded by
-    time, meta["interp"] is the dense_reader of the dense output, and a
-    failed step controller (status -1) raises IntegrationError."""
-    def scipy_event(ev):
-        def g(t, y):
-            return float(ev.fn(t, y))
-        g.terminal, g.direction = ev.terminal, ev.direction
-        return g
+# ---------------------------------------------------------------------------
+# The DOP853 stepper.  Its tableau (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.5): A's rows 1-11 are the stages, row 12 is B, rows 13-15 the
+# dense output's; E3 and E5 weigh the error estimate, D the interpolant.
+_C = np.array([0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778])
+_A = np.zeros((16, 16))
+for _i, _row in enumerate((
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+     0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0, 0, -0.00010834732869724932,
+     0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+), 1):
+    _A[_i, :_i] = _row
+_E3 = np.array([-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0])
+_E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0])
+_D = np.array([
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973,
+     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963,
+     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163,
+     104.0996495089623, 29.8402934266605, -43.53345659001114,
+     96.32455395918828, -39.17726167561544, -149.72683625798564),
+])
+_B = _A[12, :12]
+_RK_STAGES = [(s, _A[s, :s], _C[s]) for s in range(1, 12)]
+_DENSE_STAGES = [(s, _A[s, :s], _C[s]) for s in (13, 14, 15)]
+_EPS = np.finfo(float).eps
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True,
-                    events=[scipy_event(ev) for ev in events] or None)
+
+def _brentq(f, xa, xb, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100):
+    """A root of f in the bracket [xa, xb]: a plain-float port of the C
+    brentq of scipy.optimize, which solve_ivp runs on event functions."""
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError("the function value at x=%r is NaN" % x)
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        if stry is not None and 2 * abs(stry) < min(
+                abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:                       # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += (scur if abs(scur) > delta else
+                 delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError("brentq failed to converge after %d iterations, "
+                       "value is %r" % (maxiter, xcur))
+
+
+def _norm(x):
+    """np.linalg.norm(x) of a float vector, by the same two operations."""
+    return np.sqrt(x.dot(x))
+
+
+def _rms(x):
+    return _norm(x) / x.size ** 0.5
+
+
+def _dop853(rhs, t_span, y0, rtol, atol, events, label):
+    """The package's one DOP853 solve: a port of what scipy's solve_ivp(
+    method="DOP853", dense_output=True, events=...) runs, with the same
+    numpy operations in the same order.  EventSpec events are recorded by
+    time; a terminal one stops the solve at its first root.
+    meta["interp"] is the dense_reader of the step records; meta["nfev"],
+    ["steps"] and ["rejected"] count right-hand-side calls, accepted and
+    rejected steps.  A failed step controller, a non-finite f(t0, y0) or
+    a non-finite step size raise IntegrationError with the valid part."""
+    if not rtol >= RTOL_FLOOR:
+        raise ValueError("tol=%g is below %.3g, the finite-precision floor "
+                         "of the integrator (100 machine epsilons)"
+                         % (rtol, RTOL_FLOOR))
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    y = np.asarray(y0, dtype=float)
+    if not (0 < abs(t_bound - t) < math.inf and y.ndim == 1
+            and np.isfinite(y).all()):
+        raise ValueError("need a finite t_span with t0 != t1 and a finite "
+                         "1-d y0")
+    direction = np.sign(t_bound - t)
+    n = y.size
+    K = np.empty((16, n))        # stage rows; row 12 is f at the step end
+    KT = [K[:s].T for s in range(16)]
+    ts, ys, steps, t_events = [t], [y0], [], [[] for _ in events]
+    g = [float(ev.fn(t, y0)) for ev in events]
+    accepted = rejected = 0
+    status, message, nfev = None, None, 1
+
+    f = np.asarray(rhs(t, y), dtype=float)
+    if np.isfinite(f).all():     # select_initial_step
+        nfev = 2
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, abs(t_bound - t))
+        f1 = np.asarray(rhs(t + h0 * direction, y + h0 * direction * f),
+                        dtype=float)
+        d2 = _rms((f1 - f) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.125
+        h_abs = min(100 * h0, h1, abs(t_bound - t))
+    else:
+        status, message = -1, "f(t0, y0) is not finite"
+    while status is None:
+        if not math.isfinite(h_abs):
+            status, message = -1, "the step size is not finite"
+            break
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while h_abs >= min_step:
+            h = h_abs * direction
+            t_new = t + h
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, a, c in _RK_STAGES:
+                K[s] = rhs(t + c * h, y + np.dot(KT[s], a) * h)
+            y_new = y + h * np.dot(KT[12], _B)
+            f_new = np.asarray(rhs(t + h, y_new), dtype=float)
+            K[12] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5 = _norm(np.dot(KT[13], _E5) / scale) ** 2
+            e3 = _norm(np.dot(KT[13], _E3) / scale) ** 2
+            if e5 == 0 and e3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(
+                    10, 0.9 * error_norm ** -0.125)
+                h_abs *= min(1, factor) if step_rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
+            step_rejected = True
+            rejected += 1
+        else:
+            status, message = -1, _TOO_SMALL_STEP
+            break
+        accepted += 1
+        for s, a, c in _DENSE_STAGES:
+            K[s] = rhs(t + c * h, y + np.dot(KT[s], a) * h)
+        F = np.empty((7, n))
+        F[0] = dy = y_new - y
+        F[1] = h * K[0] - dy
+        F[2] = 2 * dy - h * (f_new + K[0])
+        F[3:] = h * np.dot(_D, K)
+        steps.append((t, h, y, F))
+        t_old, t, y, f = t, t_new, y_new, f_new
+        if direction * (t - t_bound) >= 0:
+            status = 0
+        if events:
+            g_new = [float(ev.fn(t, y)) for ev in events]
+            active = [i for i, (ev, g0, g1)
+                      in enumerate(zip(events, g, g_new))
+                      if (g0 <= 0 <= g1 and ev.direction >= 0)
+                      or (g0 >= 0 >= g1 and ev.direction <= 0)]
+            sol = dense_reader((t_old, t), steps[-1:]) if active else None
+            hits = [(i, _brentq(lambda s, ev=events[i]: float(
+                ev.fn(s, np.array(sol(s)))), t_old, t)) for i in active]
+            if any(events[i].terminal for i in active):
+                hits.sort(key=lambda e: e[1] if t > t_old else -e[1])
+                hits = hits[:1 + [events[i].terminal
+                                  for i, _ in hits].index(True)]
+                status, t = 1, hits[-1][1]
+                y = np.array(sol(t))
+            for i, te in hits:
+                t_events[i].append(te)
+            g = g_new
+        if len(ts) > 1 and ts[-1] == t:
+            steps.pop()                  # a terminal root at the last node
+        else:
+            ts.append(t)
+            ys.append(y)
+
     recorded = sorted(((ev.kind, float(te))
-                       for ev, tes in zip(events, sol.t_events or ())
-                       for te in tes), key=lambda e: e[1])
-    meta = {"interp": dense_reader(sol.sol), "nfev": sol.nfev,
-            "status": sol.status, "success": bool(sol.success),
-            "label": label, "rtol": rtol}
-    traj = Trajectory(sol.t, sol.y, recorded, meta)
-    if sol.status == -1:
+                       for ev, tes in zip(events, t_events) for te in tes),
+                      key=lambda e: e[1])
+    meta = {"interp": dense_reader(ts, steps) if steps else None,
+            "nfev": nfev + 15 * accepted + 12 * rejected,
+            "steps": accepted, "rejected": rejected, "status": status,
+            "success": status >= 0, "label": label, "rtol": rtol}
+    traj = Trajectory(ts, np.vstack(ys).T, recorded, meta)
+    if status == -1:
         raise IntegrationError(
-            "integration of %r failed: %s" % (label, sol.message), traj)
+            "integration of %r failed: %s" % (label, message), traj)
     return traj
 
 
@@ -293,10 +534,6 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
     of the step controller raises IntegrationError with the valid part.
     tol is the rtol (atol is tol * 1e-3); below RTOL_FLOOR it is rejected.
     """
-    if not tol >= RTOL_FLOOR:
-        raise ValueError("tol=%g is below %.3g, the finite-precision floor "
-                         "of the integrator (100 machine epsilons)"
-                         % (tol, RTOL_FLOOR))
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_span must be finite, got (%g, %g)" % (t0, t1))
@@ -309,7 +546,8 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
             if ev.terminal:
                 return Trajectory([t0], y0.reshape(-1, 1), pre,
                                   {"label": label, "status": 1,
-                                   "success": True, "nfev": 0})
+                                   "success": True, "nfev": 0, "steps": 0,
+                                   "rejected": 0})
 
     def with_pre(traj):
         traj.events = sorted(pre + traj.events, key=lambda e: e[1])
@@ -348,6 +586,6 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=()):
 
     meta = {"interp": interp, "series": series, "check": rep,
             "handoff_mismatch": mismatch, "eps": eps,
-            "label": ivp.label, "nfev": traj.meta.get("nfev"),
-            "success": traj.meta.get("success")}
+            "label": ivp.label, "success": traj.meta.get("success")}
+    meta.update((k, traj.meta.get(k)) for k in ("nfev", "steps", "rejected"))
     return Trajectory(traj.t, traj.y, traj.events, meta)

@@ -170,8 +170,8 @@ def make_bryant_salamon(r_max=60.0):
 
     The radial coordinate satisfies t(r) = int_1^r ds/sqrt(1-s^-3); with
     r = 1 + w^2 the rate dw/dt is smooth and even in w, so w(t) is one
-    regular ODE solve, read through dense_reader: bitwise equal to scipy's
-    OdeSolution, once per t for all four evaluators.  t_max = t(r_max).
+    regular ODE solve, read through dense_reader once per t for all four
+    evaluators.  t_max = t(r_max).
     """
     if not (r_max > 1 and math.isfinite(r_max)):
         raise ValueError("r_max must be finite and exceed 1")

@@ -18,7 +18,7 @@ import json
 import os
 from unittest import mock
 
-from g2flow import singular_ivp
+from g2flow import instantons
 from g2flow._series import PowerSeries, ps_var
 from g2flow.cli import build_structure
 from g2flow.instantons import (abelian_connection, p1_ivp, pid_ivp,
@@ -70,16 +70,16 @@ class _Captured(Exception):
 
 
 def _abelian_rhs(s):
-    """The rate right-hand side abelian_connection hands to solve_ivp."""
+    """The rate right-hand side abelian_connection hands to _dop853."""
     def capture(fun, *args, **kwargs):
         raise _Captured(fun)
 
-    with mock.patch.object(singular_ivp, "solve_ivp", capture):
+    with mock.patch.object(instantons, "_dop853", capture):
         try:
             abelian_connection(s, 1.0, (1.0, 1.0, 1.0))
         except _Captured as got:
             return got.args[0]
-    raise AssertionError("abelian_connection did not call solve_ivp")
+    raise AssertionError("abelian_connection did not call _dop853")
 
 
 def _fields(s):

@@ -1,12 +1,14 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from g2flow import singular_ivp
 from g2flow.singular_ivp import (EventSpec, IntegrationError, SingularIVP,
-                                 PreconditionError, blowup_event,
-                                 dense_reader, integrate, malgrange_check,
+                                 PreconditionError, _brentq, _dop853,
+                                 blowup_event, integrate, malgrange_check,
                                  series_bootstrap, solve_singular)
 
 
@@ -91,7 +93,7 @@ def test_solve_singular_validates_window():
 @pytest.mark.parametrize("span", [(0.0, math.nan), (math.nan, 1.0),
                                   (0.0, math.inf), (-math.inf, 1.0)])
 def test_integrate_rejects_nonfinite_span(span):
-    # scipy's stepper never returns on such a span
+    # an adaptive stepper never reaches an infinite or nan end
     with pytest.raises(ValueError, match="t_span must be finite"):
         integrate(lambda t, y: [-y[0]], span, [1.0])
 
@@ -168,27 +170,64 @@ def _coupled_rate(t, y):
             for i in range(6)]
 
 
-def _reach_two(t, y):
-    return y[0] - 2.0
+def _oscillator(t, y):
+    return [y[1], -y[0]]
 
 
-_reach_two.terminal = True
+# id: (rhs, t_span, y0, rtol, atol, events, solve_ivp status)
+DOP853_CASES = {
+    "1d-ascending": (_radial_rate, (0.0, 20.0), [0.0], 1e-13, 1e-14, [], 0),
+    "6d-descending": (_coupled_rate, (3.0, 0.01), np.zeros(6), 1e-12,
+                      1e-15, [], 0),
+    "terminal-event": (_radial_rate, (0.0, 20.0), [0.0], 1e-13, 1e-14,
+                       [EventSpec("two", lambda t, y: y[0] - 2.0,
+                                  terminal=True, direction=1.0)], 1),
+    "nonterminal-event": (_oscillator, (0.0, 10.0), np.array([1.0, 0.0]),
+                          1e-10, 1e-13,
+                          [EventSpec("zero", lambda t, y: y[0]),
+                           EventSpec("falling", lambda t, y: y[1] - 0.5,
+                                     direction=-1.0)], 0),
+    "step-failure": (lambda t, y: [y[0] * y[0]], (0.0, 2.0), [10.0], 1e-10,
+                     1e-13, [], -1),
+}
 
 
-@pytest.mark.parametrize("case", ["1d-ascending", "6d-descending",
-                                  "terminal-event"])
+def _scipy_event(ev):
+    def g(t, y):
+        return float(ev.fn(t, y))
+    g.terminal, g.direction = ev.terminal, ev.direction
+    return g
+
+
+@pytest.mark.parametrize("case", sorted(DOP853_CASES))
 def test_dense_reader_bitwise_equal_to_scipy(case):
-    if case == "6d-descending":
-        sol = solve_ivp(_coupled_rate, (3.0, 0.01), np.zeros(6),
-                        method="DOP853", rtol=1e-12, atol=1e-15,
-                        dense_output=True)
+    # the stepper is a port of solve_ivp(method="DOP853"): the same t, y,
+    # nfev, events, status message and dense output, bit for bit
+    rhs, span, y0, rtol, atol, events, status = DOP853_CASES[case]
+    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True,
+                    events=[_scipy_event(ev) for ev in events] or None)
+    assert sol.status == status
+    if status == -1:
+        with pytest.raises(IntegrationError) as exc:
+            _dop853(rhs, span, y0, rtol, atol, events, case)
+        assert str(exc.value) == "integration of %r failed: %s" % (
+            case, sol.message)
+        traj = exc.value.trajectory
     else:
-        events = [_reach_two] if case == "terminal-event" else []
-        sol = solve_ivp(_radial_rate, (0.0, 20.0), [0.0], method="DOP853",
-                        rtol=1e-13, atol=1e-14, dense_output=True,
-                        events=events)
-        assert sol.status == (1 if events else 0)
-    read = dense_reader(sol.sol)
+        traj = _dop853(rhs, span, y0, rtol, atol, events, case)
+    assert traj.t.tobytes() == sol.t.tobytes()
+    assert traj.y.tobytes() == sol.y.tobytes()
+    assert traj.meta["nfev"] == sol.nfev
+    steps, rejected = traj.meta["steps"], traj.meta["rejected"]
+    assert steps == sol.t.size - 1 == sol.sol.n_segments
+    assert sol.nfev == 2 + 15 * steps + 12 * rejected
+    assert traj.events == sorted(
+        ((ev.kind, float(te)) for ev, tes in zip(events, sol.t_events or ())
+         for te in tes), key=lambda e: e[1])
+    assert len(traj.events) == {"terminal-event": 1,
+                                "nonterminal-event": 4}.get(case, 0)
+    read = traj.meta["interp"]
     lo, hi = sorted((sol.t[0], sol.t[-1]))
     rng = np.random.default_rng(11)
     # every node, both ends and random interior points, each read twice
@@ -205,7 +244,8 @@ def test_dense_reader_bitwise_equal_to_scipy(case):
 def test_dense_reader_rejects_t_outside_solved_span(span):
     sol = solve_ivp(_coupled_rate, span, np.zeros(6), method="DOP853",
                     rtol=1e-12, atol=1e-15, dense_output=True)
-    read = dense_reader(sol.sol)
+    read = _dop853(_coupled_rate, span, np.zeros(6), 1e-12, 1e-15, (),
+                   "coupled").meta["interp"]
     lo, hi = sorted(span)
     # the top end has the 1e-9 relative slack of the profile evaluators
     for t in (lo, hi, hi * (1 + 0.5e-9)):
@@ -216,6 +256,74 @@ def test_dense_reader_rejects_t_outside_solved_span(span):
             read(t)
 
 
+def test_dop853_tableau_pinned_to_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    pairs = [(singular_ivp._A, ref.A), (singular_ivp._B, ref.B),
+             (singular_ivp._C, ref.C), (singular_ivp._E3, ref.E3),
+             (singular_ivp._E5, ref.E5), (singular_ivp._D, ref.D)]
+    assert sum(np.count_nonzero(mine) for mine, _ in pairs) == 169
+    for mine, theirs in pairs:
+        assert mine.shape == theirs.shape
+        assert [float(v).hex() for v in mine.ravel()] == [
+            float(v).hex() for v in theirs.ravel()]
+
+
+def _bracket_cases(rng):
+    """(f, a, b) with f(a), f(b) of opposite signs, either way round."""
+    shapes = (lambda r, k: lambda x: math.sinh(k * (x - r)),
+              lambda r, k: lambda x: (x - r) * (1.0 + k * (x - r) ** 2),
+              lambda r, k: lambda x: math.exp(k * x) - math.exp(k * r),
+              lambda r, k: lambda x: math.tanh(k * (x - r)) + 1e-3 * (x - r),
+              lambda r, k: lambda x: x ** 3 - r ** 3 + k * (x - r))
+    for m in range(20000):
+        r = rng.uniform(-5.0, 5.0)
+        a, b = r - rng.uniform(1e-6, 4.0), r + rng.uniform(1e-6, 4.0)
+        f = shapes[m % len(shapes)](r, rng.uniform(0.1, 5.0))
+        yield (f, a, b) if m % 2 else (f, b, a)
+
+
+def test_brentq_matches_scipy_bitwise():
+    from scipy.optimize import brentq
+    eps4 = 4 * np.finfo(float).eps
+    for f, a, b in _bracket_cases(np.random.default_rng(7)):
+        assert _brentq(f, a, b).hex() == brentq(
+            f, a, b, xtol=eps4, rtol=eps4).hex()
+    assert _brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x + 1.0, 1.0, 3.0)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.0 else -1.0, 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rhs, y0, atol", [
+    (lambda t, y: [math.nan], [1.0], 1e-13),
+    (lambda t, y: [-math.inf], [1.0], 1e-13),
+    # f(t0, y0) is finite but y0 / (atol + |y0| rtol) is 0 / 0, so the
+    # initial step comes out nan
+    (lambda t, y: [1.0], [0.0], 0.0)],
+    ids=["nan-field", "inf-field", "nan-step"])
+def test_nonfinite_start_raises_instead_of_hanging(rhs, y0, atol):
+    # scipy's stepper never returns on these: a nan initial step makes
+    # its rejection loop endless
+    def expire(*_):
+        raise TimeoutError("the solve did not return within 20 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        with pytest.raises(IntegrationError, match="not finite") as exc:
+            _dop853(rhs, (0.0, 1.0), y0, 1e-10, atol, (), "nan")
+        assert exc.value.trajectory.t.tolist() == [0.0]
+        if atol:
+            with pytest.raises(IntegrationError, match="not finite"):
+                integrate(rhs, (0.0, 1.0), y0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 @pytest.mark.parametrize("jacobian", [[[1.0, 0.0]], [[1.0], [0.0]],
                                       [[-2.0]], [1.0, 2.0],
                                       [[0.0, math.nan], [0.0, 1.0]],
@@ -223,10 +331,3 @@ def test_dense_reader_rejects_t_outside_solved_span(span):
 def test_singular_ivp_rejects_bad_jacobian(jacobian):
     with pytest.raises(ValueError, match="finite and 2 x 2"):
         SingularIVP(lambda y: y, lambda t, y: y, [0.0, 0.0], jacobian)
-
-
-def test_dense_reader_rejects_other_methods():
-    sol = solve_ivp(lambda t, y: [-y[0]], (0.0, 1.0), [1.0], method="RK45",
-                    dense_output=True)
-    with pytest.raises(TypeError, match="DOP853"):
-        dense_reader(sol.sol)

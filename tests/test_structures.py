@@ -443,8 +443,8 @@ def test_bryant_salamon_frame_evaluates_profile_once(monkeypatch):
     reads = []
     real = singular_ivp.dense_reader
 
-    def counting_reader(sol):
-        read = real(sol)
+    def counting_reader(ts, steps):
+        read = real(ts, steps)
 
         def counted(t):
             reads.append(read(t))

@@ -269,75 +269,66 @@ _C = np.array([0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
     0.7777777777777778])
 _A = np.zeros((16, 16))
-for _i, _row in enumerate((
-    (0.05260015195876773,),
-    (0.0197250569845379, 0.0591751709536137),
-    (0.02958758547680685, 0, 0.08876275643042054),
-    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
-    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
-    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
-     -0.017578125),
-    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
-     -0.015319437748624402, 0.008273789163814023),
-    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
-     27.59209969944671, 20.154067550477894, -43.48988418106996),
-    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
-     21.230051448181193, 15.279233632882423, -33.28821096898486,
-     -0.020331201708508627),
-    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
-     -8.149787010746927, -18.52006565999696, 22.739487099350505,
-     2.4936055526796523, -3.0467644718982196),
-    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
-     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
-    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
-     -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
-     0.20136540080403034, 0.04471061572777259),
-    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
-     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
-     0.00820105229563469, 0.007567897660545699, -0.008298),
-    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
-     0.053541988307438566, -0.05492374857139099, 0, 0, -0.00010834732869724932,
-     0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
-    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
-     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
-     2.9475147891527724, -9.15095847217987),
-), 1):
-    _A[_i, :_i] = _row
-_E3 = np.array([-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
-    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
-    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0])
+_A[np.tril_indices(16, -1)] = (   # the strict lower triangle, row by row
+    0.05260015195876773, 0.0197250569845379, 0.0591751709536137,
+    0.02958758547680685, 0, 0.08876275643042054, 0.2413651341592667, 0,
+    -0.8845494793282861, 0.924834003261792, 0.037037037037037035, 0, 0,
+    0.17082860872947386, 0.12546768756682242, 0.037109375, 0, 0,
+    0.17025221101954405, 0.06021653898045596, -0.017578125,
+    0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023, 0.6241109587160757, 0, 0,
+    -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996, 0.47766253643826434, 0, 0,
+    -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    -0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505,
+    2.4936055526796523, -3.0467644718982196, 2.273310147516538, 0, 0,
+    -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063,
+    12.360567175794303, 0.6433927460157636, 0.054293734116568765, 0, 0, 0, 0,
+    4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259, 0.056167502283047954, 0, 0, 0, 0, 0,
+    0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298,
+    0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+    0.053541988307438566, -0.05492374857139099, 0, 0, -0.00010834732869724932,
+    0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
+    -0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+    4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+    2.9475147891527724, -9.15095847217987)
+_B = _A[12, :12]
+_E3 = np.append(_B, 0.0)   # B less the embedded 3rd-order weights
+_E3[[0, 8, 11]] -= 0.2440944881889764, 0.7338466882816118, 0.022058823529411766
 _E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
     -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
     0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0])
-_D = np.array([
-    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
-     2.38466765651207, 2.117034582445028, -0.871391583777973,
-     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
-     18.148505520854727, -9.194632392478356, -4.436036387594894),
-    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
-     -374.5467547226902, -22.113666853125306, 7.733432668472264,
-     -30.674084731089398, -9.332130526430229, 15.697238121770845,
-     -31.139403219565178, -9.35292435884448, 35.81684148639408),
-    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
-     527.8081592054236, -11.57390253995963, 6.8812326946963,
-     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
-     -60.19669523126412, 84.32040550667716, 11.99229113618279),
-    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
-     357.6391179106141, 93.40532418362432, -37.45832313645163,
-     104.0996495089623, 29.8402934266605, -43.53345659001114,
-     96.32455395918828, -39.17726167561544, -149.72683625798564),
-])
-_B = _A[12, :12]
+_D = np.array([-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777,
+    -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+    -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+    -4.436036387594894, 10.427508642579134, 0, 0, 0, 0, 242.28349177525817,
+    165.20045171727028, -374.5467547226902, -22.113666853125306,
+    7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448,
+    35.81684148639408, 19.985053242002433, 0, 0, 0, 0, -387.0373087493518,
+    -189.17813819516758, 527.8081592054236, -11.57390253995963,
+    6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716,
+    11.99229113618279, -25.69393346270375, 0, 0, 0, 0, -154.18974869023643,
+    -231.5293791760455, 357.6391179106141, 93.40532418362432,
+    -37.45832313645163, 104.0996495089623, 29.8402934266605,
+    -43.53345659001114, 96.32455395918828, -39.17726167561544,
+    -149.72683625798564]).reshape(4, 16)
 _RK_STAGES = [(s, _A[s, :s], _C[s]) for s in range(1, 12)]
 _DENSE_STAGES = [(s, _A[s, :s], _C[s]) for s in (13, 14, 15)]
-_EPS = np.finfo(float).eps
-_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+_BRENT_TOL = 4 * np.finfo(float).eps    # xtol = rtol of the event roots
 
 
-def _brentq(f, xa, xb, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100):
+def _brentq(f, xa, xb):
     """A root of f in the bracket [xa, xb]: a plain-float port of the C
-    brentq of scipy.optimize, which solve_ivp runs on event functions."""
+    brentq of scipy.optimize as solve_ivp runs it on event functions."""
     def call(x):
         fx = f(x)
         if math.isnan(fx):
@@ -351,14 +342,14 @@ def _brentq(f, xa, xb, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100):
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_BRENT_TOL + _BRENT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -380,8 +371,8 @@ def _brentq(f, xa, xb, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100):
         xcur += (scur if abs(scur) > delta else
                  delta if sbis > 0 else -delta)
         fcur = call(xcur)
-    raise RuntimeError("brentq failed to converge after %d iterations, "
-                       "value is %r" % (maxiter, xcur))
+    raise RuntimeError("brentq failed to converge after 100 iterations, "
+                       "value is %r" % xcur)
 
 
 def _norm(x):
@@ -389,48 +380,48 @@ def _norm(x):
     return np.sqrt(x.dot(x))
 
 
-def _rms(x):
-    return _norm(x) / x.size ** 0.5
-
-
-def _dop853(rhs, t_span, y0, rtol, atol, events, label):
-    """The package's one DOP853 solve: a port of what scipy's solve_ivp(
-    method="DOP853", dense_output=True, events=...) runs, with the same
-    numpy operations in the same order.  EventSpec events are recorded by
-    time; a terminal one stops the solve at its first root.
-    meta["interp"] is the dense_reader of the step records; meta["nfev"],
-    ["steps"] and ["rejected"] count right-hand-side calls, accepted and
-    rejected steps.  A failed step controller, a non-finite f(t0, y0) or
-    a non-finite step size raise IntegrationError with the valid part."""
+def _checked(t_span, y0, rtol):
+    """(t0, t1, y0 as an array) of a DOP853 solve; ValueError for an rtol
+    below RTOL_FLOOR, a non-finite or empty span or a bad y0."""
     if not rtol >= RTOL_FLOOR:
         raise ValueError("tol=%g is below %.3g, the finite-precision floor "
                          "of the integrator (100 machine epsilons)"
                          % (rtol, RTOL_FLOOR))
-    t, t_bound = float(t_span[0]), float(t_span[1])
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t_span must be finite, got (%g, %g)" % (t0, t1))
     y = np.asarray(y0, dtype=float)
-    if not (0 < abs(t_bound - t) < math.inf and y.ndim == 1
-            and np.isfinite(y).all()):
-        raise ValueError("need a finite t_span with t0 != t1 and a finite "
-                         "1-d y0")
-    direction = np.sign(t_bound - t)
-    n = y.size
+    if not (t0 != t1 and y.ndim == 1 and np.isfinite(y).all()):
+        raise ValueError("need t0 != t1 and a finite 1-d y0")
+    return t0, t1, y
+
+
+def _dop853(rhs, t_span, y0, rtol, atol, events, label):
+    """The package's one DOP853 solve: a port of scipy's solve_ivp(
+    method="DOP853", dense_output=True, events=...), with the same numpy
+    operations in the same order.  EventSpec events are recorded by time;
+    a terminal one stops at its first root.  meta holds "interp" (the
+    dense_reader of the step records) and the counts "nfev", "steps" and
+    "rejected".  A failed step controller, a non-finite f(t0, y0) or step
+    size raise IntegrationError with the valid part."""
+    t, t_bound, y = _checked(t_span, y0, rtol)
+    direction, n = np.sign(t_bound - t), y.size
     K = np.empty((16, n))        # stage rows; row 12 is f at the step end
     KT = [K[:s].T for s in range(16)]
-    ts, ys, steps, t_events = [t], [y0], [], [[] for _ in events]
-    g = [float(ev.fn(t, y0)) for ev in events]
-    accepted = rejected = 0
-    status, message, nfev = None, None, 1
+    ts, ys, steps, t_events = [t], [y], [], [[] for _ in events]
+    g = [float(ev.fn(t, y)) for ev in events]
+    status, message, nfev, accepted, rejected = None, None, 1, 0, 0
 
     f = np.asarray(rhs(t, y), dtype=float)
     if np.isfinite(f).all():     # select_initial_step
         nfev = 2
         scale = atol + np.abs(y) * rtol
-        d0, d1 = _rms(y / scale), _rms(f / scale)
+        d0, d1 = _norm(y / scale) / n ** 0.5, _norm(f / scale) / n ** 0.5
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, abs(t_bound - t))
         f1 = np.asarray(rhs(t + h0 * direction, y + h0 * direction * f),
                         dtype=float)
-        d2 = _rms((f1 - f) / scale) / h0
+        d2 = _norm((f1 - f) / scale) / n ** 0.5 / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -456,15 +447,12 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label):
             for s, a, c in _RK_STAGES:
                 K[s] = rhs(t + c * h, y + np.dot(KT[s], a) * h)
             y_new = y + h * np.dot(KT[12], _B)
-            f_new = np.asarray(rhs(t + h, y_new), dtype=float)
-            K[12] = f_new
+            K[12] = f_new = np.asarray(rhs(t + h, y_new), dtype=float)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             e5 = _norm(np.dot(KT[13], _E5) / scale) ** 2
             e3 = _norm(np.dot(KT[13], _E3) / scale) ** 2
-            if e5 == 0 and e3 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            error_norm = (abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+                          if e5 or e3 else 0.0)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(
                     10, 0.9 * error_norm ** -0.125)
@@ -474,7 +462,8 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label):
             step_rejected = True
             rejected += 1
         else:
-            status, message = -1, _TOO_SMALL_STEP
+            status, message = -1, ("Required step size is less than "
+                                   "spacing between numbers.")
             break
         accepted += 1
         for s, a, c in _DENSE_STAGES:
@@ -534,20 +523,16 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
     of the step controller raises IntegrationError with the valid part.
     tol is the rtol (atol is tol * 1e-3); below RTOL_FLOOR it is rejected.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError("t_span must be finite, got (%g, %g)" % (t0, t1))
-    y0 = np.asarray(y0, dtype=float)
+    t0, t1, y0 = _checked(t_span, y0, tol)
     evs = list(events)
     pre = []
     for ev in evs:
         if ev.fn(t0, y0) <= 0.0:
             pre.append((ev.kind, t0))
             if ev.terminal:
-                return Trajectory([t0], y0.reshape(-1, 1), pre,
-                                  {"label": label, "status": 1,
-                                   "success": True, "nfev": 0, "steps": 0,
-                                   "rejected": 0})
+                return Trajectory([t0], y0.reshape(-1, 1), pre, {
+                    "label": label, "status": 1, "success": True,
+                    "nfev": 0, "steps": 0, "rejected": 0})
 
     def with_pre(traj):
         traj.events = sorted(pre + traj.events, key=lambda e: e[1])

@@ -98,6 +98,17 @@ def test_integrate_rejects_nonfinite_span(span):
         integrate(lambda t, y: [-y[0]], span, [1.0])
 
 
+@pytest.mark.parametrize("tol", [1e-30, math.nan])
+def test_integrate_rejects_tol_below_floor(tol):
+    # also when a terminal event has already fired at t0, which returns
+    # before any step is taken
+    prefired = EventSpec("region-exit", lambda t, y: -1.0, terminal=True)
+    for events in ([], [prefired]):
+        with pytest.raises(ValueError, match="finite-precision floor"):
+            integrate(lambda t, y: [1.0], (0.0, 1.0), [0.0], tol=tol,
+                      events=events)
+
+
 def test_blowup_event_terminates():
     traj = integrate(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [10.0],
                      tol=1e-10, events=[blowup_event(1e6)])

@@ -4,13 +4,14 @@ Four subcommands share one JSON config document:
 
   structure   build a structure, write its JSON and a profile CSV
   solve       build one family member, write solution CSV + sidecar
-  scan        sweep a family parameter, one summary row per grid point
+  scan        sweep the family's parameter, one row per grid point
   verify      run the report battery, write report JSON + summary CSV
 
 CONFIG_KEYS names every config key and the converter that types it;
-flags mirror config keys and win over the file.  Exit codes: 0 success,
-1 failed verification, 2 config error, 3 runtime numeric event.  Output
-is deterministic: fixed seeds, 17-digit floats, \n line endings.
+each flag is generated from a key, passes its value on as a string and
+wins over the file.  Exit codes: 0 success, 1 failed verification,
+2 config error, 3 runtime numeric event.  Output is deterministic:
+fixed seeds, 17-digit floats, \n line endings.
 """
 
 import argparse
@@ -40,8 +41,8 @@ EXIT_NUMERIC = 3
 _STRUCTURE_KINDS = ("bryant_salamon", "su23", "linear", "file")
 _FAMILY_KINDS = ("theta_x1", "theta_zero", "theta_y0", "flat_pid",
                  "abelian", "flat_plus", "flat_minus")
-_PARAM_KEYS = ("x1", "y0", "t0", "sign")
-_SCAN_PARAMS = {"theta_x1": "x1", "theta_y0": "y0", "abelian": "t0"}
+_SCAN_PARAMS = {"theta_x1": "x1", "theta_y0": "y0", "abelian": "t0",
+                "flat_pid": "sign"}
 
 
 class ConfigError(ValueError):
@@ -137,7 +138,6 @@ CONFIG_KEYS = {
                "x1": _real, "y0": _real,
                "sign": _choice((1, -1), _integer(-1)), "t0": _real,
                "aplus": _three_reals, "aminus": _three_reals,
-               "param": _choice(_PARAM_KEYS),
                "values": _reals, "lo": _real, "hi": _real},
     "solver": {"eps": _positive, "order": _integer(0), "tol": _tolerance,
                "t_end": lambda v: _positive(v, inf_ok=True)},
@@ -160,7 +160,7 @@ def _known(doc, keys, where):
     return doc
 
 
-def load_config(path, keys=CONFIG_KEYS, what="config"):
+def load_config(path, keys, what):
     """The JSON document at path, its keys checked against the table."""
     if not os.path.exists(path):
         raise ConfigError("%s file %r does not exist" % (what, path))
@@ -187,7 +187,8 @@ def merged_config(args):
     """defaults <- config file <- flags, key by key, then typed."""
     cfg = default_config()
     if getattr(args, "config", None):
-        for section, block in load_config(args.config).items():
+        doc = load_config(args.config, CONFIG_KEYS, "config")
+        for section, block in doc.items():
             cfg[section].update(block)
     if getattr(args, "structure", None) is not None:
         cfg["structure"] = {"kind": "file", "path": args.structure}
@@ -382,7 +383,7 @@ def _scan_point(s, block, solver, param, value):
 def cmd_scan(cfg, out):
     solver = cfg["solver"]
     block = cfg["family"]
-    param = block.get("param") or _SCAN_PARAMS.get(block["kind"])
+    param = _SCAN_PARAMS.get(block["kind"])
     if param is None:
         raise ConfigError("no scan parameter for family %r" % block["kind"])
     values = _scan_values(block, cfg["outputs"]["grid"])
@@ -430,64 +431,42 @@ def cmd_verify(cfg, out, thresholds):
     return EXIT_OK
 
 
+# the (section, key) flags of every subcommand, then subcommand -> (help,
+# the flags it takes besides these)
+_COMMON = [("outputs", "dir"), ("solver", "tol"), ("solver", "eps"),
+           ("solver", "t_end"), ("outputs", "grid")]
+_COMMANDS = {
+    "structure": ("build a structure, export JSON + profile CSV",
+                  [("structure", key) for key in CONFIG_KEYS["structure"]]),
+    "solve": ("solve one family member, export CSV",
+              [("family", key) for key in ("kind", "x1", "y0", "sign", "t0",
+                                           "aplus", "aminus")]),
+    "scan": ("sweep the family's parameter",
+             [("family", key) for key in ("kind", "values", "lo", "hi")]),
+    "verify": ("run the report battery", []),
+}
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON config document")
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--tol", type=float, help="integration tolerance")
-    common.add_argument("--eps", type=float, help="series handoff point")
-    common.add_argument("--t-end", dest="t_end", type=float,
-                        help="final time")
-    common.add_argument("--grid", type=int, metavar="N",
-                        help="sample/scan point count")
-
-    struct_flags = argparse.ArgumentParser(add_help=False)
-    struct_flags.add_argument("--structure", metavar="PATH",
-                              help="structure JSON (shorthand for "
-                                   "kind=file)")
-
+    """Each flag is a string named by its dest; CONFIG_KEYS types it."""
     parser = argparse.ArgumentParser(
         prog="g2flow",
         description="Cohomogeneity-one instanton laboratory on R^4 x S^3.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("structure", parents=[common],
-                        help="build a structure, export JSON + profile CSV")
-    ps.add_argument("--kind", type=_canon, choices=_STRUCTURE_KINDS)
-    ps.add_argument("--r-max", dest="r_max", type=float)
-    ps.add_argument("--b0", type=float)
-    ps.add_argument("--a3", type=float)
-    ps.add_argument("--a5", type=float)
-    ps.add_argument("--t-max", dest="t_max", type=float)
-    ps.add_argument("--path", metavar="PATH")
-    ps.set_defaults(handler="structure")
-
-    pv = sub.add_parser("solve", parents=[common, struct_flags],
-                        help="solve one family member, export CSV")
-    pv.add_argument("--family", type=_canon, choices=_FAMILY_KINDS)
-    pv.add_argument("--x1", type=float)
-    pv.add_argument("--y0", type=float)
-    pv.add_argument("--sign", type=int, choices=[1, -1])
-    pv.add_argument("--t0", type=float)
-    pv.add_argument("--aplus", metavar="A,B,C")
-    pv.add_argument("--aminus", metavar="A,B,C")
-    pv.set_defaults(handler="solve")
-
-    pc = sub.add_parser("scan", parents=[common, struct_flags],
-                        help="sweep one family parameter")
-    pc.add_argument("--family", type=_canon, choices=_FAMILY_KINDS)
-    pc.add_argument("--param", choices=_PARAM_KEYS)
-    pc.add_argument("--values", metavar="V1,V2,...")
-    pc.add_argument("--lo", type=float)
-    pc.add_argument("--hi", type=float)
-    pc.set_defaults(handler="scan")
-
-    pf = sub.add_parser("verify", parents=[common, struct_flags],
-                        help="run the report battery")
-    pf.add_argument("--thresholds", metavar="PATH",
-                    help="JSON overrides, e.g. {\"residual\": 1e-8}")
-    pf.set_defaults(handler="verify")
+    for command, (text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", metavar="PATH",
+                       help="JSON config document")
+        if command != "structure":
+            p.add_argument("--structure", metavar="PATH",
+                           help="structure JSON (shorthand for kind=file)")
+        if command == "verify":
+            p.add_argument("--thresholds", metavar="PATH",
+                           help="JSON overrides, e.g. {\"residual\": 1e-8}")
+        for section, key in _COMMON + keys:
+            dest = _FLAG_DEST.get((section, key), key)
+            p.add_argument("--" + dest.replace("_", "-"),
+                           help="%s.%s" % (section, key))
     return parser
 
 
@@ -501,11 +480,11 @@ def main(argv=None):
                                             "threshold"),
                                 _THRESHOLD_KEYS, "thresholds.")
         with _Outputs(cfg["outputs"]["dir"]) as out:
-            if args.handler == "structure":
+            if args.command == "structure":
                 return cmd_structure(cfg, out)
-            if args.handler == "solve":
+            if args.command == "solve":
                 return cmd_solve(cfg, out)
-            if args.handler == "scan":
+            if args.command == "scan":
                 return cmd_scan(cfg, out)
             return cmd_verify(cfg, out, thresholds)
     except ConfigError as exc:

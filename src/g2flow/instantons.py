@@ -521,8 +521,9 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
         raise ValueError("t0 must lie in (0, t_max)")
     ap0 = tuple(float(x) for x in aplus_t0)
     am0 = tuple(float(x) for x in aminus_t0)
-    if not all(math.isfinite(x) for x in ap0 + am0):
-        raise ValueError("aplus_t0 and aminus_t0 must be finite")
+    for name, v in (("aplus_t0", ap0), ("aminus_t0", am0)):
+        if len(v) != 3 or not all(math.isfinite(x) for x in v):
+            raise ValueError("%s must be three finite numbers" % name)
     row = coefficient_functions(s).row
 
     def rhs(t, y):

@@ -14,8 +14,6 @@ import g2flow
 
 SETTABLE = {
     ("algebra.Su2Vec.basis", "one"),
-    ("cli.load_config", "keys"),
-    ("cli.load_config", "what"),
     ("cli.main", "argv"),
     ("instantons.abelian_connection", "aminus_t0"),
     ("instantons.flat_pid", "sign"),

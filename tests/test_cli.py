@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import g2flow
-from g2flow.cli import build_parser, main
+from g2flow.cli import CONFIG_KEYS, _text, build_parser, main, merged_config
 from g2flow.instantons import (abelian_connection, su23_pid_ivp, theta_x1,
                                theta_y0, theta_zero)
 from g2flow.singular_ivp import series_bootstrap, solve_singular
@@ -237,16 +238,15 @@ def test_config_values_string_parses_like_flag(tmp_path):
 
 
 @pytest.mark.parametrize("command, family, flags, name", [
-    ("scan", {"kind": "flat_pid", "param": "sign", "values": "1,-1"},
-     ["--family", "flat-pid", "--param", "sign", "--values", "1,-1"],
-     "scan.csv"),
+    ("scan", {"kind": "flat_pid", "values": "1,-1"},
+     ["--family", "flat-pid", "--values", "1,-1"], "scan.csv"),
     ("solve", {"kind": "flat_plus"}, ["--family", "flat-plus"],
      "solution.csv"),
 ])
 def test_flags_accept_the_config_choices(command, family, flags, name,
                                          tmp_path):
-    # --family and --param take their choices from the config table, so
-    # a flag run and a config run of the same values write the same file
+    # flags are typed by the config table, so a flag run and a config run
+    # of the same values write the same file
     cfg = tmp_path / "cfg.json"
     for run, doc, extra in (("file", family, []), ("flag", {}, flags)):
         cfg.write_text(json.dumps({"structure": {"kind": "linear"},
@@ -263,11 +263,70 @@ def test_flags_accept_the_config_choices(command, family, flags, name,
 def test_kind_flags_accept_both_spellings():
     for kind in ("bryant-salamon", "bryant_salamon"):
         args = build_parser().parse_args(["structure", "--kind", kind])
-        assert args.kind == "bryant_salamon"
+        assert merged_config(args)["structure"]["kind"] == "bryant_salamon"
     for family in ("theta-x1", "theta_x1"):
         for command in ("solve", "scan"):
             args = build_parser().parse_args([command, "--family", family])
-            assert args.family == "theta_x1"
+            assert merged_config(args)["family"]["kind"] == "theta_x1"
+
+
+def _generated_flags():
+    """(command, flag, section, key) for every typed flag of build_parser;
+    the string keys (structure.path, outputs.dir) take any value."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            section, _, key = (action.help or "").partition(".")
+            if key and CONFIG_KEYS.get(section, {}).get(key) not in (None,
+                                                                   _text):
+                yield command, action.option_strings[0], section, key
+
+
+# a value each flag's converter rejects: an out-of-range choice, else a
+# non-number
+BAD_FLAG_VALUE = {"kind": "nope", "sign": "2"}
+GENERATED_FLAGS = sorted(_generated_flags())
+
+
+@pytest.mark.parametrize("command, flag, section, key", GENERATED_FLAGS,
+                         ids=["%s %s" % case[:2] for case in GENERATED_FLAGS])
+def test_bad_flag_value_exits_2(command, flag, section, key, tmp_path,
+                                capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    value = BAD_FLAG_VALUE.get(key, "abc")
+    assert main([command, flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: %s.%s: " % (section, key))
+    assert "Traceback" not in captured.out + captured.err
+    assert list(out.iterdir()) == []
+
+
+def test_scan_sweeps_the_family_parameter(tmp_path):
+    # flat_pid's parameter is its sign: 0.5 is no sign, so its row fails;
+    # no --param flag or family.param key chooses another
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"structure": {"kind": "linear"}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["scan", "--config", str(cfg), "--family", "flat-pid",
+                 "--values", "1,0.5,-1", "--out", str(out)]) == 0
+    _, data = read_csv(out / "scan.csv")
+    assert data[:, 0].tolist() == [1.0, 0.5, -1.0]
+    assert data[:, 1].tolist() == [1.0, 0.0, 1.0]
+    os.remove(out / "scan.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--family", "flat-pid", "--param", "sign",
+              "--values", "1,-1", "--out", str(out)])
+    assert exc.value.code == 2
+    cfg.write_text(json.dumps({"family": {"kind": "flat_pid",
+                                          "param": "sign"}}))
+    assert main(["scan", "--config", str(cfg), "--values", "1,-1",
+                 "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_t_end_inf_runs_to_t_max(bs, tmp_path):

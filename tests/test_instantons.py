@@ -287,11 +287,16 @@ def test_abelian_t0_lies_inside_the_profile_range(lin5):
     (lambda s: pid_ivp(s, 0.5, 0.0, -INF), "u3_0"),
     (lambda s: su23_p1_ivp(s, NAN), "x1"),
     (lambda s: su23_pid_ivp(s, INF), "y0"),
+    (lambda s: abelian_connection(s, 1.0, (1.0, 0.0)), "aplus_t0"),
+    (lambda s: abelian_connection(s, 1.0, (1.0, 0.0, 0.0), (1, 0, 0, 5)),
+     "aminus_t0"),
 ], ids=["p1-nan", "p1-inf", "p1-two-entries", "pid-b0-minus-nan",
-        "pid-u2-inf", "pid-u3-inf", "su23-p1-x1-nan", "su23-pid-y0-inf"])
+        "pid-u2-inf", "pid-u3-inf", "su23-p1-x1-nan", "su23-pid-y0-inf",
+        "abelian-aplus-two-entries", "abelian-aminus-four-entries"])
 def test_singular_builders_reject_bad_arguments(lin5, build, name):
     # before, these built a problem with a non-finite y0, raised
-    # IndexError, or failed only in the Jacobian check
+    # IndexError, failed only in the Jacobian check, or (abelian) dropped
+    # a fourth entry
     with pytest.raises(ValueError, match="^%s must be" % name):
         build(lin5)
 

@@ -53,6 +53,7 @@ CLI = [
     ("scan-abelian", ["scan", "--family", "abelian", "--values", "0.5,1.5"]),
     ("scan-theta-y0", ["scan", "--family", "theta-y0",
                        "--values", "0.3,0.9,2.5"]),
+    ("scan-flat-pid", ["scan", "--family", "flat-pid", "--values", "1,-1"]),
     ("verify", ["verify"]),
     ("verify-linear", ["verify", "--config", "../linear.json"]),
 ]

@@ -455,6 +455,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, keys) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
+        # "-1,1" or "-1e-3" is a value, not an unknown flag (as from 3.13)
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--config", metavar="PATH",
                        help="JSON config document")
         if command != "structure":

@@ -30,22 +30,22 @@ from ._series import PowerSeries, ps_var
 RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
-def dense_reader(ts, steps):
+def dense_reader(rhs, ts, steps):
     """Scalar reader t -> tuple of floats over the DOP853 step records
-    steps[i] = (t_old, h, y_old, F) between the solution times ts[i] and
-    ts[i + 1]: the float operations of the DOP853 interpolant, and a t on
-    a node reads the step that ends there.  Steps convert on first read;
-    the last (t, values) is one tuple set in one assignment, so reads at
-    one t evaluate once, also across threads.  A t outside the solved
-    span [lo, hi (1 + 1e-9)] raises ValueError."""
+    steps[i] = (t_old, h, y_old, y_new, 13 stage rows of rhs) between ts[i]
+    and ts[i + 1], or their _segment: the float operations of the DOP853
+    interpolant; a t on a node reads the step that ends there.  A record
+    becomes its segment on first read, in one assignment to its slot, and
+    the last (t, values) is one tuple set in one assignment, so no thread
+    sees an empty slot.  A t outside [lo, hi (1 + 1e-9)] raises ValueError."""
     ts = [float(t) for t in ts]
     ascending = ts[-1] >= ts[0]
     if not ascending:
         ts, steps = ts[::-1], steps[::-1]
-    n = len(steps)
+    segments = list(steps)
+    n = len(segments)
     lo, hi = ts[0], ts[-1] + 1e-9 * abs(ts[-1])
     find = bisect_left if ascending else bisect_right
-    segments = [None] * n         # float forms, in the order of ts
     last = (None, None)
 
     def read(t):
@@ -58,12 +58,8 @@ def dense_reader(ts, steps):
                              % (t, ts[0], ts[-1]))
         i = min(max(find(ts, t) - 1, 0), n - 1)
         seg = segments[i]
-        if seg is None:
-            # per component: 0 + F[6], F[5], ..., F[0], y_old
-            t_old, h, y_old, F = steps[i]
-            seg = segments[i] = (float(t_old), float(h), list(zip(
-                (0.0 + F[-1]).tolist(), *F[-2::-1].tolist(),
-                y_old.tolist())))
+        if len(seg) > 3:
+            seg = segments[i] = _segment(rhs, *seg)
         t_old, h, cols = seg
         x = (float(t) - t_old) / h
         xm = 1 - x
@@ -380,6 +376,22 @@ def _norm(x):
     return np.sqrt(x.dot(x))
 
 
+def _segment(rhs, t, h, y, y_new, stages):
+    """The float segment (t_old, h, per-component coefficients) of a step
+    record: its three interpolation stages, then F, as scipy's DOP853."""
+    K = np.concatenate((stages, np.empty((3, y.size))))
+    for s, a, c in _DENSE_STAGES:
+        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
+    F = np.empty((7, y.size))
+    F[0] = dy = y_new - y
+    F[1] = h * K[0] - dy
+    F[2] = 2 * dy - h * (K[12] + K[0])
+    F[3:] = h * np.dot(_D, K)
+    # per component: 0 + F[6], F[5], ..., F[0], y_old
+    return (float(t), float(h), list(zip(
+        (0.0 + F[-1]).tolist(), *F[-2::-1].tolist(), y.tolist())))
+
+
 def _checked(t_span, y0, rtol):
     """(t0, t1, y0 as an array) of a DOP853 solve; ValueError for an rtol
     below RTOL_FLOOR, a non-finite or empty span or a bad y0."""
@@ -396,18 +408,19 @@ def _checked(t_span, y0, rtol):
     return t0, t1, y
 
 
-def _dop853(rhs, t_span, y0, rtol, atol, events, label):
+def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
     """The package's one DOP853 solve: a port of scipy's solve_ivp(
     method="DOP853", dense_output=True, events=...), with the same numpy
-    operations in the same order.  EventSpec events are recorded by time;
-    a terminal one stops at its first root.  meta holds "interp" (the
-    dense_reader of the step records) and the counts "nfev", "steps" and
-    "rejected".  A failed step controller, a non-finite f(t0, y0) or step
-    size raise IntegrationError with the valid part."""
+    operations in the same order.  EventSpec events are recorded by time,
+    after the (kind, t) of pre; a terminal one stops at its first root.
+    meta holds "interp" (the dense_reader of the step records) and the
+    counts "nfev" (stepping calls only: scipy's less 3 per accepted step),
+    "steps" and "rejected".  A failed step controller, a non-finite
+    f(t0, y0) or step size raise IntegrationError with the valid part."""
     t, t_bound, y = _checked(t_span, y0, rtol)
     direction, n = np.sign(t_bound - t), y.size
-    K = np.empty((16, n))        # stage rows; row 12 is f at the step end
-    KT = [K[:s].T for s in range(16)]
+    K = np.empty((13, n))        # stage rows; row 12 is f at the step end
+    KT = [K[:s].T for s in range(14)]
     ts, ys, steps, t_events = [t], [y], [], [[] for _ in events]
     g = [float(ev.fn(t, y)) for ev in events]
     status, message, nfev, accepted, rejected = None, None, 1, 0, 0
@@ -466,14 +479,7 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label):
                                    "spacing between numbers.")
             break
         accepted += 1
-        for s, a, c in _DENSE_STAGES:
-            K[s] = rhs(t + c * h, y + np.dot(KT[s], a) * h)
-        F = np.empty((7, n))
-        F[0] = dy = y_new - y
-        F[1] = h * K[0] - dy
-        F[2] = 2 * dy - h * (f_new + K[0])
-        F[3:] = h * np.dot(_D, K)
-        steps.append((t, h, y, F))
+        steps.append((t, h, y, y_new, K.copy()))
         t_old, t, y, f = t, t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
@@ -483,7 +489,9 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label):
                       in enumerate(zip(events, g, g_new))
                       if (g0 <= 0 <= g1 and ev.direction >= 0)
                       or (g0 >= 0 >= g1 and ev.direction <= 0)]
-            sol = dense_reader((t_old, t), steps[-1:]) if active else None
+            if active:
+                steps[-1] = _segment(rhs, *steps[-1])
+                sol = dense_reader(rhs, (t_old, t), steps[-1:])
             hits = [(i, _brentq(lambda s, ev=events[i]: float(
                 ev.fn(s, np.array(sol(s)))), t_old, t)) for i in active]
             if any(events[i].terminal for i in active):
@@ -501,11 +509,11 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label):
             ts.append(t)
             ys.append(y)
 
-    recorded = sorted(((ev.kind, float(te))
-                       for ev, tes in zip(events, t_events) for te in tes),
+    recorded = sorted(list(pre) + [(ev.kind, float(te)) for ev, tes
+                                   in zip(events, t_events) for te in tes],
                       key=lambda e: e[1])
-    meta = {"interp": dense_reader(ts, steps) if steps else None,
-            "nfev": nfev + 15 * accepted + 12 * rejected,
+    meta = {"interp": dense_reader(rhs, ts, steps) if steps else None,
+            "nfev": nfev + 12 * (accepted + rejected),
             "steps": accepted, "rejected": rejected, "status": status,
             "success": status >= 0, "label": label, "rtol": rtol}
     traj = Trajectory(ts, np.vstack(ys).T, recorded, meta)
@@ -533,17 +541,7 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
                 return Trajectory([t0], y0.reshape(-1, 1), pre, {
                     "label": label, "status": 1, "success": True,
                     "nfev": 0, "steps": 0, "rejected": 0})
-
-    def with_pre(traj):
-        traj.events = sorted(pre + traj.events, key=lambda e: e[1])
-        return traj
-
-    try:
-        return with_pre(_dop853(rhs, (t0, t1), y0, tol, tol * 1e-3, evs,
-                                label))
-    except IntegrationError as exc:
-        with_pre(exc.trajectory)
-        raise
+    return _dop853(rhs, (t0, t1), y0, tol, tol * 1e-3, evs, label, pre)
 
 
 def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=()):

@@ -329,6 +329,21 @@ def test_scan_sweeps_the_family_parameter(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_negative_first_value_parses_in_both_spellings(tmp_path):
+    # argparse took a list whose first entry is negative for a flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"structure": {"kind": "linear"}}))
+    written = []
+    for n, values in enumerate((["--values", "-1,1"], ["--values=-1,1"])):
+        out = tmp_path / str(n)
+        assert main(["scan", "--config", str(cfg), "--family", "flat-pid",
+                     *values, "--out", str(out)]) == 0
+        written.append((out / "scan.csv").read_bytes())
+    assert written[0] == written[1]
+    assert read_csv(tmp_path / "0" / "scan.csv")[1][:, 0].tolist() == [
+        -1.0, 1.0]
+
+
 def test_t_end_inf_runs_to_t_max(bs, tmp_path):
     assert main(["solve", "--family", "flat-pid", "--t-end", "inf",
                  "--out", str(tmp_path)]) == 0

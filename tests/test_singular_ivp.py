@@ -1,5 +1,7 @@
 import math
 import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -229,10 +231,12 @@ def test_dense_reader_bitwise_equal_to_scipy(case):
         traj = _dop853(rhs, span, y0, rtol, atol, events, case)
     assert traj.t.tobytes() == sol.t.tobytes()
     assert traj.y.tobytes() == sol.y.tobytes()
-    assert traj.meta["nfev"] == sol.nfev
     steps, rejected = traj.meta["steps"], traj.meta["rejected"]
     assert steps == sol.t.size - 1 == sol.sol.n_segments
     assert sol.nfev == 2 + 15 * steps + 12 * rejected
+    # nfev counts the stepping calls; the 3 interpolation stages of each
+    # accepted step run on the first read of its segment
+    assert traj.meta["nfev"] + 3 * steps == sol.nfev
     assert traj.events == sorted(
         ((ev.kind, float(te)) for ev, tes in zip(events, sol.t_events or ())
          for te in tes), key=lambda e: e[1])
@@ -265,6 +269,91 @@ def test_dense_reader_rejects_t_outside_solved_span(span):
     for t in (lo - 1e-12, -1.0, hi * (1 + 2e-9), 100.0, math.nan):
         with pytest.raises(ValueError, match="outside the solved span"):
             read(t)
+
+
+def _counted_solve(case):
+    """(trajectory, [rhs calls so far]) of a DOP853_CASES solve."""
+    rhs, span, y0, rtol, atol, events, _ = DOP853_CASES[case]
+    calls = [0]
+
+    def counted(t, y):
+        calls[0] += 1
+        return rhs(t, y)
+
+    try:
+        return _dop853(counted, span, y0, rtol, atol, events, case), calls
+    except IntegrationError as exc:
+        return exc.trajectory, calls
+
+
+@pytest.mark.parametrize("case", ["1d-ascending", "6d-descending",
+                                  "step-failure"])
+def test_segment_stages_run_on_first_read(case):
+    traj, calls = _counted_solve(case)
+    steps, rejected = traj.meta["steps"], traj.meta["rejected"]
+    assert rejected > 0 or case != "step-failure"
+    # an unread solve runs the stepping calls only
+    assert calls[0] == traj.meta["nfev"] == 2 + 12 * (steps + rejected)
+    read = traj.meta["interp"]
+    a, b = traj.t[:2]                   # the first step, from a to b
+    read(0.5 * a + 0.5 * b)
+    assert calls[0] == traj.meta["nfev"] + 3
+    for t in (0.3 * a + 0.7 * b, a, b, 0.9 * a + 0.1 * b):
+        read(t)
+    assert calls[0] == traj.meta["nfev"] + 3
+
+
+@pytest.mark.parametrize("case", sorted(DOP853_CASES))
+def test_every_segment_runs_its_stages_once(case):
+    traj, calls = _counted_solve(case)
+    # the event root search builds the segments it reads; the final
+    # reader reuses them
+    built = calls[0] - traj.meta["nfev"]
+    assert built % 3 == 0 and (built > 0) == bool(DOP853_CASES[case][5])
+    read = traj.meta["interp"]
+    ts = traj.t.tolist()
+    for a, b in zip(ts[:-1], ts[1:]):
+        for t in (a, 0.5 * a + 0.5 * b, b, 0.25 * a + 0.75 * b):
+            read(t)
+    assert calls[0] == traj.meta["nfev"] + 3 * traj.meta["steps"]
+
+
+@pytest.mark.parametrize("case", ["6d-descending", "nonterminal-event"])
+def test_fresh_segments_read_thread_safe(case):
+    # 4 threads walk the same shuffled t, so they meet on segments that
+    # are still being built, of a never-read trajectory; a second solve,
+    # read in sequence, is the reference
+    rhs, span, y0, rtol, atol, events, _ = DOP853_CASES[case]
+    fresh = _dop853(rhs, span, y0, rtol, atol, events, case).meta["interp"]
+    serial = _dop853(rhs, span, y0, rtol, atol, events, case).meta["interp"]
+    rng = np.random.default_rng(5)
+    ts = [float(t) for t in rng.uniform(*sorted(span[:2]), 400)]
+    want = {t: [v.hex() for v in serial(t)] for t in ts}
+    orders = [[ts[k] for k in rng.permutation(len(ts))]] * 4
+    errors, wrong = [], []
+    start = threading.Barrier(len(orders))
+
+    def run(order):
+        start.wait()
+        try:
+            wrong.extend(t for t in order
+                         if [v.hex() for v in fresh(t)] != want[t])
+        except Exception as exc:
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(order,))
+                   for order in orders]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and wrong == []
 
 
 def test_dop853_tableau_pinned_to_scipy():

@@ -333,12 +333,15 @@ def test_one_profile_frame_per_t(bs, symmetric, per_t):
 def test_residual_reads_one_frame_per_node(bs, family):
     # four stencil nodes and the centre, whose coefficient tables share
     # the centre frame: 5 frames of 4 calls (24 when they reread it, 30
-    # or 40 when the profiles and frames of the nodes alternate)
+    # or 40 when the profiles and frames of the nodes alternate); the
+    # nodes are read once first, since a segment's first read runs its
+    # interpolation stages, which read frames too
     s, calls = _counting_rebuild(bs, True)
     sol = {"theta_x1": lambda: theta_x1(s, 2.0),
            "theta_y0": lambda: theta_y0(s, 0.5 / s.b0),
            "flat_pid": lambda: flat_pid(s, 1)}[family]()
     for t in (1.0, 3.7):
+        residual_pointwise(s, sol, t)
         before = calls[0]
         residual_pointwise(s, sol, t)
         assert calls[0] - before == 20
@@ -443,8 +446,8 @@ def test_bryant_salamon_frame_evaluates_profile_once(monkeypatch):
     reads = []
     real = singular_ivp.dense_reader
 
-    def counting_reader(ts, steps):
-        read = real(ts, steps)
+    def counting_reader(rhs, ts, steps):
+        read = real(rhs, ts, steps)
 
         def counted(t):
             reads.append(read(t))

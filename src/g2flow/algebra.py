@@ -215,36 +215,21 @@ def exterior_derivative(form):
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """Invariant connection at fixed t: a = sum a_i^+ eta_i^+ + a_i^- eta_i^-.
-
-    ``diagonal`` optionally records scalars (f_1^+, .., f_3^-) with
-    a_i^+- = f_i^+- T_i; when present it must reproduce a_plus/a_minus
-    exactly.
-    """
+    """Invariant connection at fixed t: a = sum a_i^+ eta_i^+ + a_i^- eta_i^-."""
 
     a_plus: tuple
     a_minus: tuple
-    diagonal: tuple = None
 
     def __post_init__(self):
         if len(self.a_plus) != 3 or len(self.a_minus) != 3:
             raise ValueError("need three coefficients per sign")
-        if self.diagonal is not None:
-            fp, fm = self.diagonal[:3], self.diagonal[3:]
-            for i in range(3):
-                if (self.a_plus[i] != Su2Vec.basis(i + 1, fp[i])
-                        or self.a_minus[i] != Su2Vec.basis(i + 1, fm[i])):
-                    raise ValueError(
-                        "diagonal view does not reproduce the coefficients")
 
     @staticmethod
     def from_diagonal(f_plus, f_minus):
-        fp, fm = tuple(f_plus), tuple(f_minus)
+        """a_i^+- = f_i^+- T_i."""
         return ConnectionCoeffs(
-            tuple(Su2Vec.basis(i + 1, fp[i]) for i in range(3)),
-            tuple(Su2Vec.basis(i + 1, fm[i]) for i in range(3)),
-            diagonal=fp + fm,
-        )
+            tuple(Su2Vec.basis(i + 1, f_plus[i]) for i in range(3)),
+            tuple(Su2Vec.basis(i + 1, f_minus[i]) for i in range(3)))
 
     def one_form(self):
         out = {}

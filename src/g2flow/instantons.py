@@ -59,15 +59,12 @@ class InstantonSolution:
     params: dict
     bundle: str
     structure: object
-    f6: object = None
+    f6: object
     trajectory: object = None
     valid: tuple = (0.0, math.inf)
     extras: dict = field(default_factory=dict)
 
     def coefficients(self, t):
-        if self.f6 is None:
-            raise ValueError(
-                "family %r stores no profile functions" % self.family)
         lo, hi = self.valid
         if t < lo or t > hi * (1 + 1e-9):
             raise ValueError("t=%g outside validity (%g, %g]" % (t, lo, hi))
@@ -82,11 +79,8 @@ def connection_at(sol, t):
                                               (sign, sign, sign))
     f = sol.coefficients(t)
     if sol.family == "abelian":
-        return ConnectionCoeffs.from_diagonal(tuple(f[:3]), tuple(f[3:]))
-    s = sol.structure
-    if s is None:
-        raise ValueError("family %r carries no structure" % sol.family)
-    A, B, _, _ = s.frame(t)
+        return ConnectionCoeffs.from_diagonal(f[:3], f[3:])
+    A, B, _, _ = sol.structure.frame(t)
     ap = tuple(A[i] * f[i] for i in range(3))
     am = tuple(B[i] * f[3 + i] for i in range(3))
     return ConnectionCoeffs.from_diagonal(ap, am)
@@ -96,21 +90,21 @@ def connection_at(sol, t):
 # Canonical normalization E, Q
 
 
-def _eq_data(s, t_need):
-    """Dense (E, Q) on [0, horizon], rebuilt lazily when the horizon grows."""
-    holder = s._cache.get("EQ")
-    t_need = min(_in_range(float(t_need), s.t_max), s.t_max)
-    if holder is not None and holder["horizon"] >= t_need:
-        return holder
+def _eq_data(s):
+    """(E, Q, E_ps, Q_ps): one dense (E, Q) solve on [0, t_max] per
+    structure; E and Q raise ValueError outside the profile range."""
+    eq = s._cache.get("EQ")
+    if eq is not None:
+        return eq
     cf = coefficient_functions(s)
     phi1 = cf.phi[0]
-    horizon = min(s.t_max, max(1.0, 1.25 * t_need))
+    t_max = s.t_max
 
     def rhs(t, y):
         return [phi1(t) if t > 0 else 0.0,
                 t * math.exp(-y[0])]
 
-    dense = _dop853(rhs, (0.0, horizon), [0.0, 0.0], 1e-13, 1e-16, (),
+    dense = _dop853(rhs, (0.0, t_max), [0.0, 0.0], 1e-13, 1e-16, (),
                     "(E, Q)").meta["interp"]
 
     phi_ps = cf.phi_series[0]
@@ -118,15 +112,13 @@ def _eq_data(s, t_need):
     Q_ps = E_ps.integ()
 
     def E(t):
-        return t * math.exp(-dense(t)[0])
+        return t * math.exp(-dense(_in_range(t, t_max))[0])
 
     def Q(t):
-        return dense(t)[1]
+        return dense(_in_range(t, t_max))[1]
 
-    holder = {"horizon": horizon, "E": E, "Q": Q,
-              "E_ps": E_ps, "Q_ps": Q_ps}
-    s._cache["EQ"] = holder
-    return holder
+    eq = s._cache["EQ"] = (E, Q, E_ps, Q_ps)
+    return eq
 
 
 def _require_symmetric(s):
@@ -170,12 +162,11 @@ def theta_x1(s, x1):
     x1 = _finite("x1", x1)
     if x1 < 0:
         raise ValueError("x1 must be >= 0")
-    eq = _eq_data(s, min(s.t_max, 12.0))
-    x_ps = (eq["E_ps"] * x1) / (eq["Q_ps"] * x1 + 1.0)
+    E, Q, E_ps, Q_ps = _eq_data(s)
+    x_ps = (E_ps * x1) / (Q_ps * x1 + 1.0)
 
     def x_direct(t):
-        eq = _eq_data(s, t)
-        return x1 * eq["E"](t) / (1.0 + x1 * eq["Q"](t))
+        return x1 * E(t) / (1.0 + x1 * Q(t))
 
     x_eval = _RegularFn(x_ps, x_direct, SOLUTION_SERIES_CUTOFF, s.t_max)
     A1x_ps = s.A_series[0] * x_ps
@@ -189,19 +180,18 @@ def theta_zero(s):
     second invariant bundle.
     """
     _require_symmetric(s)
-    eq = _eq_data(s, min(s.t_max, 12.0))
-    num_ps = eq["E_ps"].shift_down(1)
-    den_ps = eq["Q_ps"].shift_down(2)
+    E, Q, E_ps, Q_ps = _eq_data(s)
+    num_ps = E_ps.shift_down(1)
+    den_ps = Q_ps.shift_down(2)
 
     def x_eval(t):
         if t <= 0:
             raise ValueError("theta_zero profile diverges at t = 0")
         if t < SOLUTION_SERIES_CUTOFF:
             return num_ps(t) / (den_ps(t) * t)
-        eq = _eq_data(s, t)
-        return eq["E"](t) / eq["Q"](t)
+        return E(t) / Q(t)
 
-    A1x_ps = (s.A_series[0] * eq["E_ps"]).shift_down(2) / den_ps
+    A1x_ps = (s.A_series[0] * E_ps).shift_down(2) / den_ps
     return _theta_core(s, x_eval, A1x_ps, "theta_zero", {})
 
 
@@ -619,8 +609,6 @@ def solution_to_csv(sol, path, ts):
     """CSV t,f1p,f2p,f3p,f1m,f2m,f3m,residual_max on the times ts, plus a
     JSON sidecar."""
     s = sol.structure
-    if sol.f6 is None:
-        raise ValueError("family %r has no profiles to export" % sol.family)
     with open(path, "w", newline="\n") as fh:
         fh.write("t,f1p,f2p,f3p,f1m,f2m,f3m,residual_max\n")
         for t in ts:
@@ -634,7 +622,7 @@ def solution_to_csv(sol, path, ts):
             fh.write(",".join("%.17g" % v for v in row) + "\n")
     side = {"family": sol.family, "params": sol.params,
             "bundle": sol.bundle,
-            "structure_label": None if s is None else s.label}
+            "structure_label": s.label}
     with open(str(path) + ".json", "w", newline="\n") as fh:
         json.dump(side, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -203,7 +203,7 @@ class EventSpec:
     direction: float = 0.0
 
 
-def blowup_event(threshold=1e8):
+def blowup_event(threshold):
     """Fires when the sup norm of the state reaches the threshold."""
     if not 0.0 < threshold < math.inf:
         raise ValueError("threshold must be finite and positive")
@@ -231,11 +231,7 @@ class Trajectory:
         interp = self.meta.get("interp")
         if interp is None:
             raise ValueError("trajectory stores no dense output")
-        if np.ndim(t) == 0:
-            return np.asarray(interp(float(t)), dtype=float)
-        return np.stack(
-            [np.asarray(interp(float(x)), dtype=float)
-             for x in np.asarray(t, dtype=float)], axis=1)
+        return np.asarray(interp(float(t)), dtype=float)
 
     def event_times(self, kind):
         return [te for ek, te in self.events if ek == kind]
@@ -544,7 +540,7 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
     return _dop853(rhs, (t0, t1), y0, tol, tol * 1e-3, evs, label, pre)
 
 
-def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=()):
+def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10):
     """Series on [0, eps], adaptive continuation on [eps, t_end].
 
     The samples start at eps; the dense evaluator reads the series at
@@ -560,8 +556,7 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10, events=()):
         return (np.asarray(ivp.M_minus1(y), dtype=float) / t
                 + np.asarray(ivp.M(t, y), dtype=float))
 
-    traj = integrate(rhs, (eps, t_end), y_eps, tol=tol, events=events,
-                     label=ivp.label)
+    traj = integrate(rhs, (eps, t_end), y_eps, tol=tol, label=ivp.label)
     dense = traj.meta.get("interp")
 
     def interp(t):

@@ -484,8 +484,7 @@ def default_battery(s, residual_threshold=None):
                                        threshold=residual_threshold))
     reports.append(parity_report(sols[0]))
     reports.append(parity_report(sols[1]))
-    if sols[2].trajectory is not None:
-        reports.append(invariance_report(sols[2].trajectory))
+    reports.append(invariance_report(sols[2].trajectory))
     reports.append(bubbling_report(s, 100.0, 1.0))
     reports.append(convergence_report(s, (1.0, 10.0, 100.0)))
     reports.append(curvature_boundary_report(s, sols[0]))

@@ -24,7 +24,6 @@ SETTABLE = {
     ("instantons.theta_y0", "order"),
     ("instantons.theta_y0", "t_end"),
     ("instantons.theta_y0", "tol"),
-    ("singular_ivp.blowup_event", "threshold"),
     ("singular_ivp.integrate", "events"),
     ("singular_ivp.integrate", "label"),
     ("singular_ivp.integrate", "tol"),
@@ -32,7 +31,6 @@ SETTABLE = {
     ("singular_ivp.series_bootstrap", "order"),
     ("singular_ivp.series_handoff", "order"),
     ("singular_ivp.solve_singular", "eps"),
-    ("singular_ivp.solve_singular", "events"),
     ("singular_ivp.solve_singular", "order"),
     ("singular_ivp.solve_singular", "t_end"),
     ("singular_ivp.solve_singular", "tol"),

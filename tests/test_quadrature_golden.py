@@ -42,8 +42,8 @@ def capture():
     out["su23-cli"] = {key: {repr(t): _hex([getattr(su23, key)[0](t)])
                              for t in TS} for key in ("B", "dB")}
     for name, s in (("bryant-salamon", bs), ("linear", linear)):
-        eq = _eq_data(s, 4.0)
-        out["eq-" + name] = {repr(t): _hex([eq["E"](t), eq["Q"](t)])
+        E, Q, _, _ = _eq_data(s)
+        out["eq-" + name] = {repr(t): _hex([E(t), Q(t)])
                              for t in EQ_TS}
     ab = abelian_connection(linear, 1.0, (1.0, -0.5, 2.0), (0.3, 0.0, -1.0))
     out["abelian-linear"] = {repr(t): _hex(ab.f6(t)) for t in ABELIAN_TS}

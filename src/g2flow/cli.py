@@ -31,7 +31,8 @@ from .singular_ivp import RTOL_FLOOR, IntegrationError, PreconditionError
 from .structures import (coefficient_functions, load_structure,
                          make_bryant_salamon, make_linear_example,
                          make_su23_structure, save_structure)
-from .verify import default_battery, report_to_json, reports_to_csv
+from .verify import (RESIDUAL_THRESHOLD, default_battery, report_to_json,
+                     reports_to_csv)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -39,8 +40,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _STRUCTURE_KINDS = ("bryant_salamon", "su23", "linear", "file")
-_FAMILY_KINDS = ("theta_x1", "theta_zero", "theta_y0", "flat_pid",
-                 "abelian", "flat_plus", "flat_minus")
+_FAMILY_KINDS = ("theta_x1", "theta_zero", "theta_y0", "flat_pid", "abelian")
 _SCAN_PARAMS = {"theta_x1": "x1", "theta_y0": "y0", "abelian": "t0",
                 "flat_pid": "sign"}
 
@@ -55,6 +55,7 @@ def default_config():
         "family": {"kind": "theta_x1"},
         "solver": {"eps": 1e-2, "order": 10, "tol": 1e-13, "t_end": 10.0},
         "outputs": {"dir": ".", "grid": 101},
+        "verify": {"residual": RESIDUAL_THRESHOLD},
     }
 
 
@@ -142,9 +143,9 @@ CONFIG_KEYS = {
     "solver": {"eps": _positive, "order": _integer(0), "tol": _tolerance,
                "t_end": lambda v: _positive(v, inf_ok=True)},
     "outputs": {"dir": _text, "grid": _integer(2)},
+    "verify": {"residual": _positive},
 }
 _FLAG_DEST = {("family", "kind"): "family", ("outputs", "dir"): "out"}
-_THRESHOLD_KEYS = {"residual": _positive}
 
 
 def _known(doc, keys, where):
@@ -160,16 +161,17 @@ def _known(doc, keys, where):
     return doc
 
 
-def load_config(path, keys, what):
-    """The JSON document at path, its keys checked against the table."""
+def load_config(path):
+    """The JSON config document at path, its keys checked against
+    CONFIG_KEYS."""
     if not os.path.exists(path):
-        raise ConfigError("%s file %r does not exist" % (what, path))
+        raise ConfigError("config file %r does not exist" % path)
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
-            raise ConfigError("%s file is not valid JSON: %s" % (what, exc))
-    return _known(doc, keys, what)
+            raise ConfigError("config file is not valid JSON: %s" % exc)
+    return _known(doc, CONFIG_KEYS, "config")
 
 
 def _typed(block, keys, where):
@@ -187,7 +189,7 @@ def merged_config(args):
     """defaults <- config file <- flags, key by key, then typed."""
     cfg = default_config()
     if getattr(args, "config", None):
-        doc = load_config(args.config, CONFIG_KEYS, "config")
+        doc = load_config(args.config)
         for section, block in doc.items():
             cfg[section].update(block)
     if getattr(args, "structure", None) is not None:
@@ -237,9 +239,6 @@ def build_structure(block):
 
 def build_family(s, block, solver):
     kind = block["kind"]
-    if kind in ("flat_plus", "flat_minus"):
-        block = dict(block, sign=1 if kind == "flat_plus" else -1)
-        kind = "flat_pid"
     try:
         if kind == "theta_x1":
             return theta_x1(s, block.get("x1", 1.0))
@@ -312,16 +311,7 @@ def cmd_structure(cfg, out):
 def cmd_solve(cfg, out):
     solver = cfg["solver"]
     s = build_structure(cfg["structure"])
-    cpath = out.path("solution.csv", sidecar=True)
-    try:
-        sol = build_family(s, cfg["family"], solver)
-    except IntegrationError as exc:
-        traj = exc.trajectory
-        if traj is not None:
-            traj.to_csv(cpath)
-            print("wrote partial trajectory %s" % cpath)
-        print("integration failed: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
+    sol = build_family(s, cfg["family"], solver)
     rep = sol.extras.get("check") if sol.extras else None
     if rep is not None:
         _echo_malgrange(rep)
@@ -329,6 +319,7 @@ def cmd_solve(cfg, out):
     if not hi > lo:
         raise ConfigError("empty sample range: solution valid to %g"
                           % sol.valid[1])
+    cpath = out.path("solution.csv", sidecar=True)
     solution_to_csv(sol, cpath, np.linspace(lo, hi, cfg["outputs"]["grid"]))
     print("wrote %s (+ sidecar)" % cpath)
     if sol.trajectory is not None:
@@ -411,10 +402,12 @@ def cmd_scan(cfg, out):
     return EXIT_OK
 
 
-def cmd_verify(cfg, out, thresholds):
+def cmd_verify(cfg, out):
     s = build_structure(cfg["structure"])
-    reports = default_battery(s,
-                              residual_threshold=thresholds.get("residual"))
+    try:
+        reports = default_battery(s, cfg["verify"]["residual"])
+    except ValueError as exc:        # e.g. an asymmetric structure
+        raise ConfigError("verify: %s" % exc)
     for rep in reports:
         slug = re.sub(r"[^A-Za-z0-9._=-]+", "_", rep.name)
         report_to_json(rep, out.path("report-%s.json" % slug))
@@ -443,7 +436,7 @@ _COMMANDS = {
                                            "aplus", "aminus")]),
     "scan": ("sweep the family's parameter",
              [("family", key) for key in ("kind", "values", "lo", "hi")]),
-    "verify": ("run the report battery", []),
+    "verify": ("run the report battery", [("verify", "residual")]),
 }
 
 
@@ -462,9 +455,6 @@ def build_parser():
         if command != "structure":
             p.add_argument("--structure", metavar="PATH",
                            help="structure JSON (shorthand for kind=file)")
-        if command == "verify":
-            p.add_argument("--thresholds", metavar="PATH",
-                           help="JSON overrides, e.g. {\"residual\": 1e-8}")
         for section, key in _COMMON + keys:
             dest = _FLAG_DEST.get((section, key), key)
             p.add_argument("--" + dest.replace("_", "-"),
@@ -476,11 +466,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = merged_config(args)
-        thresholds = {}
-        if getattr(args, "thresholds", None) is not None:
-            thresholds = _typed(load_config(args.thresholds, _THRESHOLD_KEYS,
-                                            "threshold"),
-                                _THRESHOLD_KEYS, "thresholds.")
         with _Outputs(cfg["outputs"]["dir"]) as out:
             if args.command == "structure":
                 return cmd_structure(cfg, out)
@@ -488,7 +473,7 @@ def main(argv=None):
                 return cmd_solve(cfg, out)
             if args.command == "scan":
                 return cmd_scan(cfg, out)
-            return cmd_verify(cfg, out, thresholds)
+            return cmd_verify(cfg, out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -174,7 +174,7 @@ def series_bootstrap(ivp, order=8, check=None):
     return [PowerSeries(coeffs[i].tolist()) for i in range(dim)]
 
 
-def series_handoff(ivp, eps, order=8):
+def series_handoff(ivp, eps, order):
     """Gate, series bootstrap and the state at the handoff point eps.
 
     Returns (check, series, y_eps, mismatch).  mismatch is the sup defect
@@ -235,16 +235,6 @@ class Trajectory:
 
     def event_times(self, kind):
         return [te for ek, te in self.events if ek == kind]
-
-    def to_csv(self, path):
-        cols = ["t"] + ["y%d" % i for i in range(self.dim)]
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for m in range(self.t.size):
-                row = [self.t[m]] + [self.y[i, m] for i in range(self.dim)]
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
-            for kind, te in self.events:
-                fh.write("# event,%s,%.17g\n" % (kind, te))
 
     def __repr__(self):
         return "Trajectory(n=%d, t=[%g, %g], events=%r)" % (
@@ -510,8 +500,8 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
                       key=lambda e: e[1])
     meta = {"interp": dense_reader(rhs, ts, steps) if steps else None,
             "nfev": nfev + 12 * (accepted + rejected),
-            "steps": accepted, "rejected": rejected, "status": status,
-            "success": status >= 0, "label": label, "rtol": rtol}
+            "steps": accepted, "rejected": rejected, "label": label,
+            "rtol": rtol}
     traj = Trajectory(ts, np.vstack(ys).T, recorded, meta)
     if status == -1:
         raise IntegrationError(
@@ -535,8 +525,7 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
             pre.append((ev.kind, t0))
             if ev.terminal:
                 return Trajectory([t0], y0.reshape(-1, 1), pre, {
-                    "label": label, "status": 1, "success": True,
-                    "nfev": 0, "steps": 0, "rejected": 0})
+                    "label": label, "nfev": 0, "steps": 0, "rejected": 0})
     return _dop853(rhs, (t0, t1), y0, tol, tol * 1e-3, evs, label, pre)
 
 
@@ -563,7 +552,6 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10):
         return [p(t) for p in series] if 0.0 <= t <= eps else dense(t)
 
     meta = {"interp": interp, "series": series, "check": rep,
-            "handoff_mismatch": mismatch, "eps": eps,
-            "label": ivp.label, "success": traj.meta.get("success")}
+            "handoff_mismatch": mismatch, "eps": eps, "label": ivp.label}
     meta.update((k, traj.meta.get(k)) for k in ("nfev", "steps", "rejected"))
     return Trajectory(traj.t, traj.y, traj.events, meta)

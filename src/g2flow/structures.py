@@ -255,20 +255,11 @@ def make_linear_example(b0, t_max=1e6):
 # Symmetric structure from a user A_1 profile
 
 
-def _unpack_profile(A1):
-    """Accept a StructureData, or an (A1, PowerSeries, dA1) tuple of two
-    callables and the Taylor series of A1."""
-    if isinstance(A1, StructureData):
-        return A1.A[0], A1.A_series[0], A1.dA[0], A1.t_max
-    if isinstance(A1, tuple) and len(A1) == 3:
-        return A1 + (math.inf,)
-    raise TypeError(
-        "A1 must be a StructureData or an (A1, PowerSeries, dA1) tuple")
-
-
 def make_su23_structure(A1, b0, t_max=None, label="su23"):
     """Build B_1 = B_2 = B_3 from a symmetric A_1 profile and B_1(0) = b0.
 
+    A1 is the tuple (A1, PowerSeries, dA1): the profile, its odd Taylor
+    series and its derivative, read on [0, t_max] (t_max 12 if None).
     Solves P' = P/A_1 + A_1^3 for P = A_1^2 B_1^2 with P ~ (b0^2/4) t^2,
     which is the quadrature formula for B_1 written base-point free:
     P = t^2 e^{J} (b0^2/4 + int_0^t A^3 e^{-J} eta^-2 d eta) with
@@ -277,12 +268,14 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
     the caller's A1 and dA1 included, rejects t outside [0, t_max].
     """
     b0 = _positive_finite("b0", b0)
-    user_a1, a1_series, user_da1, t_cap = _unpack_profile(A1)
+    if not (isinstance(A1, tuple) and len(A1) == 3):
+        raise TypeError("A1 must be an (A1, PowerSeries, dA1) tuple")
+    user_a1, a1_series, user_da1 = A1
     if a1_series.parity != "odd" or abs(a1_series[1] - 0.5) > 1e-9:
         raise ValueError("A1 series must be odd with leading coefficient 1/2")
-    horizon = float(t_max if t_max is not None else min(t_cap, 12.0))
+    horizon = float(t_max if t_max is not None else 12.0)
     if not math.isfinite(horizon) or horizon <= 0:
-        raise ValueError("no finite t_max available for the A1 profile")
+        raise ValueError("t_max must be finite and positive")
 
     def a1(t):
         return user_a1(_in_range(t, horizon))

@@ -29,7 +29,6 @@ SETTABLE = {
     ("singular_ivp.integrate", "tol"),
     ("singular_ivp.series_bootstrap", "check"),
     ("singular_ivp.series_bootstrap", "order"),
-    ("singular_ivp.series_handoff", "order"),
     ("singular_ivp.solve_singular", "eps"),
     ("singular_ivp.solve_singular", "order"),
     ("singular_ivp.solve_singular", "t_end"),

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 import g2flow
+from g2flow import cli
 from g2flow.cli import CONFIG_KEYS, _text, build_parser, main, merged_config
 from g2flow.instantons import (abelian_connection, su23_pid_ivp, theta_x1,
                                theta_y0, theta_zero)
-from g2flow.singular_ivp import series_bootstrap, solve_singular
+from g2flow.singular_ivp import (IntegrationError, Trajectory,
+                                 series_bootstrap, solve_singular)
 from g2flow.structures import (make_bryant_salamon, make_linear_example,
-                               make_su23_structure, save_structure)
+                               make_su23_structure, save_structure,
+                               structure_to_json)
 
 
 def read_csv(path):
@@ -88,7 +91,8 @@ NONFINITE = {
     "linear-t-max-nan": (["structure", "--kind", "linear", "--t-max", "nan"],
                          None, lambda lin: make_linear_example(1.0, NAN)),
     "su23-b0-nan": (["structure", "--kind", "su23", "--b0", "nan"], None,
-                    lambda lin: make_su23_structure(lin, NAN)),
+                    lambda lin: make_su23_structure(
+                        (lin.A[0], lin.A_series[0], lin.dA[0]), NAN)),
     "abelian-aplus-nan": (["solve", "--family", "abelian", "--aplus",
                            "nan,0,0"], None,
                           lambda lin: abelian_connection(lin, 1.0,
@@ -159,58 +163,57 @@ def test_cli_import_leaves_interpolate_unloaded():
     assert out.stdout.strip() == "False []"
 
 
-# id: (argv, config document, thresholds document, key the error names);
+# id: (argv, config document, key the error names);
 # each passed bad values at the parent: exit 0 with NaN rows or a
 # truncated order, or a traceback with exit 1
 BAD_INPUT = {
     "scan-hi-nan": (["scan", "--family", "theta-x1", "--lo", "0", "--hi",
-                     "nan", "--grid", "3"], None, None, "family.hi"),
+                     "nan", "--grid", "3"], None, "family.hi"),
     "scan-values-nan": (["scan", "--family", "theta-x1", "--values",
-                         "1,nan"], None, None, "family.values"),
+                         "1,nan"], None, "family.values"),
     "scan-abelian-values-nan": (["scan", "--family", "abelian", "--values",
-                                 "1,nan"], None, None, "family.values"),
-    "grid-not-a-number": (["solve"], {"outputs": {"grid": "abc"}}, None,
+                                 "1,nan"], None, "family.values"),
+    "grid-not-a-number": (["solve"], {"outputs": {"grid": "abc"}},
                           "outputs.grid"),
-    "tol-not-a-number": (["solve"], {"solver": {"tol": "abc"}}, None,
+    "tol-not-a-number": (["solve"], {"solver": {"tol": "abc"}},
                          "solver.tol"),
     "aplus-not-a-list": (["solve"], {"family": {"kind": "abelian",
-                                                "aplus": 5}}, None,
+                                                "aplus": 5}},
                          "family.aplus"),
     "order-negative": (["solve"], {"solver": {"order": -1},
-                                   "family": {"kind": "theta_y0"}}, None,
+                                   "family": {"kind": "theta_y0"}},
                        "solver.order"),
     "order-fraction": (["solve"], {"solver": {"order": 2.5},
-                                   "family": {"kind": "theta_y0"}}, None,
+                                   "family": {"kind": "theta_y0"}},
                        "solver.order"),
     "abelian-t0-at-t-max": (["solve", "--family", "abelian", "--t0", "5.0"],
                             {"structure": {"kind": "linear", "t_max": 5.0}},
-                            None, "t0"),
+                            "t0"),
     "abelian-t0-past-t-max": (["solve", "--family", "abelian", "--t0",
                                "6.0"],
                               {"structure": {"kind": "linear",
-                                             "t_max": 5.0}}, None, "t0"),
-    "threshold-not-a-number": (["verify"], None, {"residual": "abc"},
-                               "thresholds.residual"),
+                                             "t_max": 5.0}}, "t0"),
+    "threshold-not-a-number": (["verify"], {"verify": {"residual": "abc"}},
+                               "verify.residual"),
     # the integrator rejects an rtol below 100 machine epsilons, where
     # rounding swamps its error estimate
     "solve-tol-below-floor": (["solve", "--family", "theta-y0", "--tol",
-                               "1e-30"], None, None, "solver.tol"),
+                               "1e-30"], None, "solver.tol"),
     "scan-tol-below-floor": (["scan", "--family", "theta-y0", "--values",
-                              "0.1,0.2", "--tol", "1e-30"], None, None,
+                              "0.1,0.2", "--tol", "1e-30"], None,
                              "solver.tol"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
-    argv, config, thresholds, key = BAD_INPUT[case]
+    argv, config, key = BAD_INPUT[case]
     monkeypatch.setenv("G2FLOW_THREADS", "2")
     argv = list(argv)
-    for flag, doc in (("--config", config), ("--thresholds", thresholds)):
-        if doc is not None:
-            path = tmp_path / (flag[2:] + ".json")
-            path.write_text(json.dumps(doc))
-            argv += [flag, str(path)]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
     out = tmp_path / "out"
     out.mkdir()
     assert main(argv + ["--out", str(out)]) == 2
@@ -240,8 +243,8 @@ def test_config_values_string_parses_like_flag(tmp_path):
 @pytest.mark.parametrize("command, family, flags, name", [
     ("scan", {"kind": "flat_pid", "values": "1,-1"},
      ["--family", "flat-pid", "--values", "1,-1"], "scan.csv"),
-    ("solve", {"kind": "flat_plus"}, ["--family", "flat-plus"],
-     "solution.csv"),
+    ("solve", {"kind": "flat_pid", "sign": -1},
+     ["--family", "flat-pid", "--sign", "-1"], "solution.csv"),
 ])
 def test_flags_accept_the_config_choices(command, family, flags, name,
                                          tmp_path):
@@ -443,20 +446,55 @@ def test_verify_linear_passes(tmp_path):
 
 
 def test_verify_tampered_threshold_fails(tmp_path):
-    thr = tmp_path / "thr.json"
-    thr.write_text(json.dumps({"residual": 1e-30}))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"structure": {"kind": "linear", "b0": 1.0}}))
-    rc = main(["verify", "--config", str(cfg), "--thresholds", str(thr),
+    rc = main(["verify", "--config", str(cfg), "--residual", "1e-30",
                "--out", str(tmp_path)])
     assert rc == 1
 
 
 def test_verify_unknown_threshold_key(tmp_path):
-    thr = tmp_path / "thr.json"
-    thr.write_text(json.dumps({"speed": 3.0}))
-    rc = main(["verify", "--thresholds", str(thr), "--out", str(tmp_path)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verify": {"speed": 3}}))
+    rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_verify_asymmetric_structure_exits_2(bs, tmp_path, capsys):
+    # equal A and B samples with unequal dA samples are not symmetric;
+    # the battery's families need a symmetric structure
+    doc = structure_to_json(bs, n_samples=41)
+    doc["samples"]["dA"][2] = [1.01 * v for v in doc["samples"]["dA"][2]]
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["verify", "--structure", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert "symmetric" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert list(out.iterdir()) == []
+
+
+def test_solve_integration_error_writes_no_file(lin, tmp_path, monkeypatch,
+                                                capsys):
+    # the failing solve's raw state has another schema than solution.csv
+    traj = Trajectory([0.0, 0.5], [[0.0, 1.0], [0.0, 2.0]])
+
+    def fail(*args):
+        raise IntegrationError("integration of 'x' failed: test", traj)
+
+    monkeypatch.setattr(cli, "build_family", fail)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["solve", "--family", "theta-y0", "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert lines == ["integration failed: integration of 'x' failed: test"]
+    assert list(out.iterdir()) == []
 
 
 def test_negative_tol_rejected(tmp_path):

@@ -152,19 +152,6 @@ def test_integration_error_carries_partial_trajectory():
     assert traj.t[-1] == pytest.approx(0.1, abs=2e-2)
 
 
-def test_trajectory_csv_export(tmp_path):
-    ev = EventSpec("region-exit", lambda t, y: 0.5 - y[0])
-    traj = integrate(lambda t, y: [math.cos(t)], (0.0, 1.0), [0.0],
-                     events=[ev])
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,y0"
-    assert any(line.startswith("# event,region-exit,") for line in lines)
-    vals = lines[1].split(",")
-    assert float(vals[0]) == 0.0
-
-
 def test_dense_output_evaluation():
     traj = integrate(lambda t, y: [2.0 * t], (0.0, 1.0), [0.0])
     assert traj(0.5)[0] == pytest.approx(0.25, rel=1e-9)

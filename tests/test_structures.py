@@ -76,6 +76,23 @@ def test_b2_from_data():
         b2_from_data(0.0, (0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_bryant_salamon(5.0), lambda: make_bryant_salamon(60.0),
+    lambda: make_linear_example(0.3), lambda: make_linear_example(1.0),
+    lambda: build_structure({"kind": "su23"}),
+    lambda: build_structure({"kind": "su23", "a3": 0.05, "a5": 0.01,
+                             "b0": 0.7, "t_max": 5.0}),
+    lambda: structure_from_json(structure_to_json(make_bryant_salamon(5.0),
+                                                  n_samples=201)),
+], ids=["bs-5", "bs-60", "linear-0.3", "linear-1", "su23-cli",
+        "su23-cli-a3-a5", "json"])
+def test_b2_obeys_the_coclosed_relation(build):
+    # b2 = 1/(8 b0) - b0 (a_{1,3} + a_{2,3} + a_{3,3}), whichever way the
+    # structure's B series was built
+    s = build()
+    assert s.b2 == pytest.approx(b2_from_data(s.b0, s.a3), rel=1e-12)
+
+
 def test_series_parity_enforced():
     with pytest.raises(ValueError):
         PowerSeries([0.0, 0.5, 0.3], parity="odd")
@@ -95,7 +112,8 @@ def test_su23_rebuilds_linear_b():
 
 
 def test_su23_rebuilds_bryant_salamon_b(bs):
-    s = make_su23_structure(bs, bs.b0, t_max=10.0)
+    s = make_su23_structure((bs.A[0], bs.A_series[0], bs.dA[0]), bs.b0,
+                            t_max=10.0)
     for t in np.linspace(0.0, 8.0, 17):
         assert s.B[0](t) == pytest.approx(bs.B[0](t), rel=2e-9, abs=2e-9)
     assert abs(s.b2 - bs.b2) < 1e-9
@@ -111,6 +129,9 @@ def test_su23_rejects_bad_inputs():
                             t_max=5.0)
     with pytest.raises(TypeError):
         make_su23_structure((lambda t: 0.5 * t, a1), 1.0, t_max=5.0)
+    with pytest.raises(TypeError):
+        make_su23_structure(make_linear_example(1.0, t_max=5.0), 1.0,
+                            t_max=5.0)
 
 
 def test_coefficient_functions_bryant_salamon(bs):
@@ -261,7 +282,8 @@ def test_bryant_salamon_evaluators_stay_in_range(build):
     if build == "json":
         s = structure_from_json(structure_to_json(s, n_samples=201))
     elif build == "su23":
-        s = make_su23_structure(s, 1.0)
+        s = make_su23_structure((s.A[0], s.A_series[0], s.dA[0]), 1.0,
+                                t_max=s.t_max)
     elif build.startswith("su23-cli"):
         # the polynomial (a1, series, da1) tuple, t_max 12
         s = build_structure({"kind": "su23"})

@@ -56,6 +56,9 @@ CLI = [
     ("scan-flat-pid", ["scan", "--family", "flat-pid", "--values", "1,-1"]),
     ("verify", ["verify"]),
     ("verify-linear", ["verify", "--config", "../linear.json"]),
+    # a residual bound no solve meets: the exit-1 path
+    ("verify-residual", ["verify", "--config", "../linear.json",
+                         "--residual", "1e-30"]),
 ]
 
 

@@ -17,7 +17,7 @@ from .instantons import (InstantonSolution, abelian_connection,
                          theta_y0, theta_zero)
 from .singular_ivp import (EventSpec, IntegrationError, MalgrangeReport,
                            PreconditionError, SingularIVP, Trajectory,
-                           blowup_event, integrate, malgrange_check,
+                           integrate, integrate_blowup, malgrange_check,
                            series_bootstrap, solve_singular)
 from .structures import (CYC0, StructureData, b2_from_data,
                          coefficient_functions, load_structure,
@@ -35,11 +35,12 @@ __all__ = [
     "InstantonSolution", "IntegrationError", "LieForm", "MalgrangeReport",
     "PowerSeries", "PreconditionError", "Report", "SingularIVP",
     "StructureData", "Su2Vec", "Trajectory", "abelian_connection",
-    "b2_from_data", "blowup_event", "bracket", "bubbling_report",
+    "b2_from_data", "bracket", "bubbling_report",
     "coefficient_functions", "connection_at", "constraint_value",
     "convergence_report", "curvature_boundary_report", "curvature_direct",
     "curvature_lemma2", "default_battery", "exterior_derivative",
-    "flat_pid", "integrate", "invariance_report", "load_structure",
+    "flat_pid", "integrate", "integrate_blowup", "invariance_report",
+    "load_structure",
     "make_bryant_salamon", "make_linear_example", "make_su23_structure",
     "malgrange_check", "oracle_report", "p1_ivp", "parity_report",
     "pid_ivp", "random_rational_connection",

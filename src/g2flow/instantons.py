@@ -33,11 +33,12 @@ import numpy as np
 
 from ._series import ps_var
 from .algebra import ConnectionCoeffs
-# malgrange_check and series_bootstrap stay importable from this module:
-# perfbench/tracing.py patches the layer entry points here by name
-from .singular_ivp import (EventSpec, SingularIVP, _dop853, blowup_event,
-                           integrate, malgrange_check, series_bootstrap,
-                           series_handoff)
+# malgrange_check, series_bootstrap and integrate stay importable from
+# this module: perfbench/tracing.py patches the layer entry points here
+# by name
+from .singular_ivp import (EventSpec, SingularIVP, _dop853, integrate,
+                           integrate_blowup, malgrange_check,
+                           series_bootstrap, series_handoff)
 from .structures import (CYC0, _RegularFn, _finite, _in_range,
                          _positive_finite, coefficient_functions)
 
@@ -296,17 +297,15 @@ def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13):
 
     state0 = [A1(eps) * (2.0 / eps + eps * u_eps),
               B1(eps) * (y0 + eps * eps * v_eps)]
-    events = [blowup_event(BLOWUP_THRESHOLD)]
     watch_region = 0.0 < y0 < 1.0 / s.b0
-    if watch_region:
-        events += [
-            EventSpec("region-exit", lambda t, z: z[0]),
-            EventSpec("region-exit", lambda t, z: 1.0 - z[0]),
-            EventSpec("region-exit", lambda t, z: z[1]),
-            EventSpec("region-exit", lambda t, z: 1.0 - z[1]),
-        ]
-    traj = integrate(su23_rhs_pm(s), (eps, hi), state0, tol=tol,
-                     events=events, label="theta_y0(y0=%g)" % y0)
+    events = [
+        EventSpec("region-exit", lambda t, z: z[0]),
+        EventSpec("region-exit", lambda t, z: 1.0 - z[0]),
+        EventSpec("region-exit", lambda t, z: z[1]),
+        EventSpec("region-exit", lambda t, z: 1.0 - z[1]),
+    ] if watch_region else []
+    traj = integrate_blowup(su23_rhs_pm(s), (eps, hi), state0, tol, events,
+                            "theta_y0(y0=%g)" % y0, BLOWUP_THRESHOLD)
     blow = traj.event_times("blow-up")
     hi_valid = min(blow) if blow else float(traj.t[-1])
 

@@ -197,21 +197,14 @@ def series_handoff(ivp, eps, order):
 
 @dataclass
 class EventSpec:
+    """An event of integrate: fn(t, y) is a margin, positive where the
+    solve may run, and the event fires where it crosses zero in the given
+    direction (0: either).  A margin that is not positive at t0 fires
+    there whatever its direction."""
     kind: str
     fn: object
     terminal: bool = False
     direction: float = 0.0
-
-
-def blowup_event(threshold):
-    """Fires when the sup norm of the state reaches the threshold."""
-    if not 0.0 < threshold < math.inf:
-        raise ValueError("threshold must be finite and positive")
-
-    def fn(t, y):
-        return threshold - float(np.max(np.abs(y)))
-
-    return EventSpec("blow-up", fn, terminal=True, direction=-1.0)
 
 
 class Trajectory:
@@ -512,10 +505,12 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
 def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
     """Adaptive high-order integration with event recording.
 
-    Events are EventSpec instances; terminal ones stop the run.  A margin
-    that is already non-positive at t0 is recorded immediately.  Failure
-    of the step controller raises IntegrationError with the valid part.
-    tol is the rtol (atol is tol * 1e-3); below RTOL_FLOOR it is rejected.
+    Events are EventSpec instances; terminal ones stop the run.  An
+    event's fn is a margin: a value that is already non-positive at t0
+    records the event at t0, whatever its direction (a terminal one then
+    returns the one sample).  Failure of the step controller raises
+    IntegrationError with the valid part.  tol is the rtol (atol is
+    tol * 1e-3); below RTOL_FLOOR it is rejected.
     """
     t0, t1, y0 = _checked(t_span, y0, tol)
     evs = list(events)
@@ -527,6 +522,98 @@ def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
                 return Trajectory([t0], y0.reshape(-1, 1), pre, {
                     "label": label, "nfev": 0, "steps": 0, "rejected": 0})
     return _dop853(rhs, (t0, t1), y0, tol, tol * 1e-3, evs, label, pre)
+
+
+INVERT_AT = 1e2      # the |y|_inf where integrate_blowup turns to y/|y|^2
+
+
+def _inverse(v):
+    """v / |v|^2 in plain floats; the map is its own inverse."""
+    r = 1.0 / sum([c * c for c in v])
+    return [c * r for c in v]
+
+
+def integrate_blowup(rhs, t_span, y0, tol, events, label, threshold):
+    """integrate with a terminal "blow-up" event where |y|_inf reaches
+    threshold.  Past |y|_inf = INVERT_AT a phase steps q = y/|y|^2 by
+    q' = |q|^2 F - 2 q (q.F), F = rhs(t, q/|q|^2), up to the threshold or
+    to a sign change of q_k (k largest at the phase start), where one
+    step jumped the whole window: the root is then found on its dense q.
+    A sign change short of the threshold restarts the phase, and
+    |y|_2 = INVERT_AT / 10 hands back to y.  Each phase is one integrate
+    call at tol; events see y in every phase, less what a later phase
+    pre-fires at its start.  t, y, events, interp and meta read y; an
+    IntegrationError carries the part of its phase, in its coordinate."""
+    t, t_end, y = _checked(t_span, y0, tol)
+    if not (INVERT_AT < threshold < math.inf and t < t_end):
+        raise ValueError("need t0 < t1 and a finite threshold above %g"
+                         % INVERT_AT)
+    y = y.tolist()
+    inverted = max(map(abs, y)) >= INVERT_AT
+    state, ts, ys, records, phases = (_inverse(y) if inverted else y,
+                                      [t], [y], [], [])
+    meta = dict.fromkeys(("nfev", "steps", "rejected"), 0)
+
+    def field(t, q):
+        q, qq, qf = q.tolist(), 0.0, 0.0
+        for c in q:
+            qq += c * c
+        f = rhs(t, [c / qq for c in q])
+        for a, c in zip(f, q):
+            qf += a * c
+        return [qq * a - 2.0 * qf * c for a, c in zip(f, q)]
+
+    def margin(t, q):             # |q|^2 (threshold - |y|_inf)
+        q = q.tolist()
+        return threshold * sum([c * c for c in q]) - max(map(abs, q))
+
+    while True:
+        if inverted:
+            k = max(range(len(state)), key=lambda i: abs(state[i]))
+            sign = math.copysign(1.0, state[k])
+            evs = [EventSpec("blow-up", margin, True, -1.0),
+                   EventSpec("_pole", lambda t, q: sign * q[k], True, -1.0),
+                   EventSpec("_switch", lambda t, q: 1.0 - (
+                       INVERT_AT / 10) ** 2 * q.dot(q), True, -1.0)] + [
+                EventSpec(ev.kind, lambda t, q, fn=ev.fn: fn(t, np.array(
+                    _inverse(q.tolist()))), ev.terminal, ev.direction)
+                for ev in events]
+        else:
+            evs = [EventSpec("_switch", lambda t, z: INVERT_AT - max(
+                map(abs, z.tolist())), True, -1.0), *events]
+        traj = integrate(field if inverted else rhs, (t, t_end), state, tol,
+                         evs, label)
+        for key in meta:
+            meta[key] += traj.meta[key]
+        times, cols = traj.t.tolist(), traj.y.T.tolist()
+        read, blow = traj.meta.get("interp"), []
+        ends = {kind for kind, te in traj.events if te == times[-1]}
+        if "_pole" in ends and margin(times[-1], traj.y[:, -1]) <= 0:
+            times[-1] = float(_brentq(lambda s: margin(
+                s, np.array(read(s))), times[-2], times[-1]))
+            cols[-1], ends = list(read(times[-1])), set()
+            blow = [("blow-up", times[-1])]
+        records += [e for e in traj.events if e[0][0] != "_"
+                    and (e[1] != t or len(ts) == 1)
+                    and e[1] <= times[-1]] + blow
+        if read is not None:
+            phases.append((times[-1], read, inverted))
+        ts += times[1:]
+        ys += [_inverse(c) if inverted else c for c in cols[1:]]
+        t, state = times[-1], cols[-1]
+        if t == t_end or not {"_switch", "_pole"} & ends:
+            break
+        if "_switch" in ends:
+            inverted, state = not inverted, _inverse(state)
+
+    def interp(t):
+        for end, read, inv in phases:
+            if t <= end:
+                break
+        return _inverse(read(t)) if inv else read(t)
+
+    meta.update(interp=interp if phases else None, label=label, rtol=tol)
+    return Trajectory(ts, np.array(ys).T, records, meta)
 
 
 def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from g2flow.instantons import (_stencil_nodes, abelian_connection,
                                su23_p1_ivp, su23_pid_ivp, theta_x1,
                                theta_y0, theta_zero)
 from g2flow.algebra import ConnectionCoeffs, Su2Vec, constraint_value
-from g2flow.singular_ivp import (malgrange_check, series_bootstrap,
-                                 solve_singular)
+from g2flow import singular_ivp
+from g2flow.singular_ivp import (_brentq, malgrange_check,
+                                 series_bootstrap, solve_singular)
 from g2flow.structures import make_bryant_salamon, make_linear_example
 
 NAN, INF = float("nan"), float("inf")
@@ -73,14 +75,17 @@ def test_theta_y0_zero_matches_theta_zero(bs):
         assert abs(fa[3]) < 1e-10
 
 
-def test_theta_y0_edge_is_flat(bs):
-    y_edge = 1.0 / bs.b0
-    a = theta_y0(bs, y_edge)
-    b = flat_pid(bs, 1)
-    for t in np.geomspace(1e-2, 10.0, 21):
-        fa, fb = a.coefficients(t), b.coefficients(t)
-        assert fa[0] == pytest.approx(fb[0], rel=1e-7)
-        assert fa[3] == pytest.approx(fb[3], rel=1e-7)
+def test_theta_y0_edge_is_flat(bs, lin):
+    # the whole pipeline (series, handoff, bounded continuation, profile
+    # read) against a closed form; measured 4.8e-12 and 2.2e-12
+    for s in (bs, lin):
+        for sign in (1, -1):
+            a = theta_y0(s, sign / s.b0, t_end=50.0)
+            b = flat_pid(s, sign)
+            for t in np.geomspace(1e-3, 50.0, 60):
+                np.testing.assert_allclose(a.coefficients(t),
+                                           b.coefficients(t), rtol=1e-10,
+                                           atol=0)
 
 
 def test_theta_y0_sign_symmetry(bs):
@@ -90,6 +95,68 @@ def test_theta_y0_sign_symmetry(bs):
         fa, fb = a.coefficients(t), b.coefficients(t)
         assert fa[0] == pytest.approx(fb[0], rel=1e-12, abs=1e-14)
         assert fa[3] == pytest.approx(-fb[3], rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("name, t_blow", [("bs", 31.193), ("lin", 26.430)])
+def test_theta_y0_family_edge_is_sharp(name, t_blow, request):
+    s = request.getfixturevalue(name)
+    for sign in (1, -1):
+        inside = theta_y0(s, sign * 0.999 / s.b0, t_end=50.0)
+        assert inside.valid[1] == 50.0 and not inside.trajectory.events
+        outside = theta_y0(s, sign * 1.001 / s.b0, t_end=50.0)
+        assert [k for k, _ in outside.trajectory.events] == ["blow-up"]
+        assert outside.valid[1] == pytest.approx(t_blow, abs=5e-4)
+
+
+def test_theta_y0_blowup_time_power_law(lin):
+    # past the edge, y0 b0 = 1 + delta on linear (b0 = 1) blows up at
+    # T(delta) ~ delta^-p; p = 0.405 is a measured value
+    ts = [theta_y0(lin, 1.0 + d, t_end=500.0).valid[1]
+          for d in (1e-3, 1e-4, 1e-5, 1e-6)]
+    np.testing.assert_allclose(ts, [26.43, 67.23, 170.71, 433.31],
+                               atol=5e-3)
+    slopes = [math.log10(b / a) for a, b in zip(ts, ts[1:])]
+    assert max(slopes) - min(slopes) < 0.01
+    assert slopes == pytest.approx([0.4055, 0.4047, 0.4045], abs=1e-4)
+
+
+# (structure, b0 of linear, y0, the blow-up time found before the climb
+# ran in q = z/|z|^2, whether one q step jumps the whole window past
+# |z| = 1e8, so the time is the root on that step), solved to the CLI's
+# t_end of 10
+BLOWUP_PINS = [
+    ("lin", 1.3514427942416234, 1.0407909237167439, 2.527685609648758, 0),
+    ("lin", 0.7121458717857969, -2.031605668895809, 1.2637860615528564, 0),
+    ("lin", 1.5674744185563578, -0.8298030486214137, 3.449974998261149, 1),
+    ("lin", 1.0, 1.3, 2.20366356715349, 1),
+    ("bs", None, 3.0, 0.813763294207571, 0),
+    ("bs", None, -3.0, 0.813763294207571, 0),
+    ("bs", None, 2.0, 2.1437533609892676, 0),
+    ("bs", None, 3.02, 0.8052358118160058, 1),
+]
+
+
+@pytest.mark.parametrize("name, b0, y0, t_blow, pole_step", BLOWUP_PINS)
+def test_theta_y0_blowup_times_pinned(name, b0, y0, t_blow, pole_step, bs,
+                                      monkeypatch):
+    callers = []
+
+    def brentq(f, a, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _brentq(f, a, b)
+
+    monkeypatch.setattr(singular_ivp, "_brentq", brentq)
+    s = bs if name == "bs" else make_linear_example(b0)
+    sol = theta_y0(s, y0, t_end=10.0)
+    traj = sol.trajectory
+    assert ("integrate_blowup" in callers) == pole_step
+    (kind, te), = traj.events
+    assert kind == "blow-up" and type(te) is float
+    assert te == pytest.approx(t_blow, rel=1e-10) and sol.valid[1] == te
+    assert traj.t[-1] == te and traj.meta["steps"] <= 260
+    # the samples and the dense output read z, up to |z|_inf = 1e8
+    assert np.max(np.abs(traj.y[:, -1])) == pytest.approx(1e8, rel=1e-6)
+    assert np.max(np.abs(traj(te))) == pytest.approx(1e8, rel=1e-6)
 
 
 def test_theta_y0_outside_flag_and_blowup(bs):

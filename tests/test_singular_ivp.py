@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from g2flow import singular_ivp
 from g2flow.singular_ivp import (EventSpec, IntegrationError, SingularIVP,
                                  PreconditionError, _brentq, _dop853,
-                                 blowup_event, integrate, malgrange_check,
+                                 integrate, integrate_blowup, malgrange_check,
                                  series_bootstrap, solve_singular)
 
 
@@ -112,20 +112,69 @@ def test_integrate_rejects_tol_below_floor(tol):
 
 
 def test_blowup_event_terminates():
-    traj = integrate(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [10.0],
-                     tol=1e-10, events=[blowup_event(1e6)])
-    times = traj.event_times("blow-up")
-    assert len(times) == 1
-    # y = 10/(1 - 10 t) reaches 1e6 at t = (1 - 1e-5)/10
-    assert times[0] == pytest.approx(0.1 - 1e-6, abs=1e-7)
-    assert traj.t[-1] <= 0.1
+    traj = integrate_blowup(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [10.0],
+                            1e-10, [], "y' = y^2", 1e8)
+    # y = 10/(1 - 10 t) reaches 1e8 at t = (1 - 1e-7)/10
+    assert traj.events == [("blow-up", pytest.approx(0.1 - 1e-8,
+                                                     rel=1e-10))]
+    assert type(traj.events[0][1]) is float and traj.t[-1] < 0.1
+    assert traj.y[0, -1] == pytest.approx(1e8, rel=1e-7)
+    # both phases stepped, and t, y and meta read y in each of them
+    assert traj.t.size - 1 == traj.meta["steps"] > 0
+    assert traj.meta["nfev"] >= 12 * traj.meta["steps"]
+    for t in np.linspace(0.0, 0.099, 9):    # y(t) up to 1e3
+        assert traj(t)[0] == pytest.approx(10 / (1 - 10 * t), rel=1e-9)
 
 
-@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
-def test_blowup_event_rejects_bad_threshold(threshold):
-    # a nan margin never changes sign, so the event could never fire
+def test_integrate_blowup_hands_back_below_the_switch():
+    # z = exp(10 t - 5 t^2) peaks at e^5 = 148 > 100 at t = 1: the solve
+    # climbs in q = 1/z from z = 100 and hands back to z at z = 10
+    def exact(t):
+        return math.exp(10 * t - 5 * t * t)
+
+    level = EventSpec("level", lambda t, z: 50.0 - z[0])
+    traj = integrate_blowup(lambda t, z: [10 * (1 - t) * z[0]], (0.0, 2.0),
+                            [1.0], 1e-12, [level], "peak", 1e8)
+    assert traj.t[-1] == 2.0 and traj.t.size - 1 == traj.meta["steps"]
+    # z = 50 on the way up (in z) and on the way down (in q); the margin
+    # already crossed is not recorded again where the q phase starts
+    root = math.sqrt(1 - math.log(50.0) / 5)
+    assert traj.events == [("level", pytest.approx(1 - root, rel=1e-10)),
+                           ("level", pytest.approx(1 + root, rel=1e-10))]
+    assert max(traj.y[0]) > 100
+    for t, z in zip(traj.t, traj.y[0]):
+        assert z == pytest.approx(exact(t), rel=1e-10)
+    for t in np.linspace(0.0, 2.0, 201):
+        assert traj(t)[0] == pytest.approx(exact(t), rel=1e-10)
+
+
+def test_integrate_blowup_sign_change_below_threshold_restarts():
+    # z = 150 e^t (cos 5t, sin 5t) starts in q; z_1 changes sign at
+    # t = pi/10, 3 pi/10, ... with |z| < 1e8, which is no blow-up
+    def exact(t):
+        return 150 * math.exp(t) * np.array([math.cos(5 * t),
+                                             math.sin(5 * t)])
+
+    traj = integrate_blowup(lambda t, z: [z[0] - 5 * z[1], 5 * z[0] + z[1]],
+                            (0.0, 2.0), [150.0, 0.0], 1e-12, [], "spiral",
+                            1e8)
+    assert traj.t[-1] == 2.0 and traj.events == []
+    for t in np.linspace(0.0, 2.0, 41):
+        np.testing.assert_allclose(traj(t), exact(t), rtol=0,
+                                   atol=1e-10 * 150 * math.exp(t))
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 100.0, -1.0])
+def test_integrate_blowup_rejects_bad_threshold(threshold):
     with pytest.raises(ValueError, match="threshold"):
-        blowup_event(threshold)
+        integrate_blowup(lambda t, y: [y[0]], (0.0, 1.0), [1.0], 1e-10, [],
+                         "", threshold)
+
+
+def test_integrate_blowup_runs_forward_only():
+    with pytest.raises(ValueError, match="t0 < t1"):
+        integrate_blowup(lambda t, y: [y[0]], (1.0, 0.0), [1.0], 1e-10, [],
+                         "", 1e8)
 
 
 def test_region_exit_event_nonterminal():

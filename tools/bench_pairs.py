@@ -17,9 +17,15 @@ the committed BENCH_*.json files:
     machine   cpu count and the Python, numpy and scipy versions
     commands  the run.py command line
     summary   per workload and metric: both sides' values in seed order,
-              medians, quartiles, change_over_parent and how many pairs
-              the change won ("better" from CHANGE_TREE/BENCHMARK.json);
-              failed and attempted task counts
+              medians, quartiles, change_over_parent, how many pairs
+              the change won ("better" from CHANGE_TREE/BENCHMARK.json)
+              and claim_rule_met: the change won at least 9 of 10 pairs
+              (a tie counts for neither side) and its median beats the
+              parent's by more than the parent's interquartile distance;
+              each end-to-end metric also has within_bound: the change's
+              median is not worse than the parent's by more than the
+              metric's relative bound in BENCHMARK.json; failed and
+              attempted task counts
     runs      one record per run.py call: side, workload, seed, seconds,
               trace (always 0), first_in_pair, attempted, failed, metrics
               and the per-task seconds
@@ -60,16 +66,26 @@ def run_once(tree, workload, seed, seconds):
     return json.loads(lines[-1]), detail
 
 
+def _benchmark(tree):
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
 def directions(tree):
     """metric name -> 'lower' or 'higher' from the tree's BENCHMARK.json."""
-    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
+    bench = _benchmark(tree)
     return {m["name"]: m["better"]
             for m in bench["end_to_end"] + bench["per_layer"]}
 
 
-def summarize(runs, better):
-    """The summary block of OUT.json from the run records."""
+def bounds(tree):
+    """end-to-end metric name -> its relative bound in BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in _benchmark(tree)["end_to_end"]}
+
+
+def summarize(runs, better, bound=None):
+    """The summary block of OUT.json from the run records; bound maps an
+    end-to-end metric to its relative bound."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         # runs are appended pair by pair in seed order
@@ -96,6 +112,13 @@ def summarize(runs, better):
                           if sign * (c - p) < 0)
                 entry["pairs_change_better"] = "%d of %d" % (
                     won, len(entry["parent"]))
+                lo, hi = entry.get("parent_quartiles", (0.0, 0.0))
+                gain = sign * (entry["parent_median"] - entry["change_median"])
+                entry["claim_rule_met"] = (10 * won >= 9 * len(entry["parent"])
+                                           and gain > hi - lo)
+                if name in (bound or {}):
+                    entry["within_bound"] = -gain <= (
+                        bound[name] * abs(entry["parent_median"]))
             block[name] = entry
         for count in ("failed", "attempted"):
             block[count] = {side: sum(r[count] for r in recs)
@@ -126,7 +149,7 @@ def main(argv=None):
     for tree in trees.values():
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             ap.error("no perfbench/run.py under %s" % tree)
-    better = directions(trees["change"])
+    better, bound = directions(trees["change"]), bounds(trees["change"])
     doc = {"what": "perfbench/run.py results of PARENT_TREE and "
                    "CHANGE_TREE in alternating same-seed pairs (parent "
                    "first on odd seeds) in one session, made with "
@@ -157,7 +180,7 @@ def main(argv=None):
                         for k, v in line["metrics"].items()
                         if k in ("setup_s", "task_p50_s", "tasks_per_s",
                                  "peak_rss_mib")}), flush=True)
-            doc["summary"] = summarize(doc["runs"], better)
+            doc["summary"] = summarize(doc["runs"], better, bound)
             with open(args.out, "w", newline="\n") as fh:
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")

@@ -37,6 +37,10 @@ CLI = [
                         "--y0", "0.8660254037844386"]),
     ("solve-theta-y0-blowup", ["solve", "--family", "theta-y0",
                                "--y0", "2.7712812921102037"]),
+    # one q step jumps the whole window past |z| = 1e8: the blow-up time
+    # is the threshold root on that step
+    ("solve-theta-y0-pole-step", ["solve", "--family", "theta-y0",
+                                  "--y0", "3.02"]),
     ("solve-su23-theta-x1", ["solve", "--config", "../su23.json",
                              "--family", "theta-x1"]),
     ("solve-su23-theta-y0", ["solve", "--config", "../su23.json",

@@ -217,30 +217,6 @@ def su23_rhs_pm(s):
     return rhs
 
 
-def su23_p1_ivp(s, x1):
-    """Reduced singular problem for x = x1 t + t^3 u, y = t^2 v."""
-    _require_symmetric(s)
-    cf = coefficient_functions(s)
-    row, p1 = cf.row, cf.phi1[0]
-    x1 = _finite("x1", x1)
-    u0 = -0.5 * (x1 * x1 + p1 * x1)
-
-    def M_minus1(y):
-        u, v = y[0], y[1]
-        return [-2.0 * u - x1 * x1 - p1 * x1, -6.0 * v]
-
-    def M(t, y):
-        phi, gamma, _, _, phi_hat, _, _ = row(t)
-        u, v = y[0], y[1]
-        t3 = t * t * t
-        return [-x1 * phi_hat[0] - phi[0] * u + t * (v * v - 2.0 * x1 * u)
-                - t3 * u * u,
-                v * (-gamma[0] + 2.0 * x1 * t + 2.0 * t3 * u)]
-
-    return SingularIVP(M_minus1, M, [u0, 0.0], np.diag([-2.0, -6.0]),
-                       label="su23-p1(x1=%g)" % x1, meta={"x1": x1})
-
-
 def su23_pid_ivp(s, y0):
     """Reduced singular problem for x = 2/t + t u, y = y0 + t^2 v."""
     _require_symmetric(s)

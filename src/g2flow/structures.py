@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from ._series import PowerSeries, ps_const, ps_var
-from .singular_ivp import EventSpec, _dop853
+from .singular_ivp import EventSpec, _dop853, dense_reader
 
 SERIES_ORDER = 26
 COEFF_SERIES_CUTOFF = 0.05
@@ -558,25 +558,63 @@ _STRUCTURE_KEYS = {"label", "b0", "b2", "a3", "a5", "samples", "series",
 _SAMPLE_KEYS = {"t", "A", "B", "dA", "dB"}
 
 
+def _spline_reader(ts, columns):
+    """dense_reader of the cubic splines through the columns (y, ends),
+    with scipy CubicSpline's end rules: ends = (first, last) clamps the
+    end slopes, None is not-a-knot.  The node slopes solve its tridiagonal
+    system (Thomas algorithm); each interval is a cubic-Hermite segment."""
+    dx = [b - a for a, b in zip(ts, ts[1:])]
+    d0, d1 = ts[2] - ts[0], ts[-1] - ts[-3]
+    cols = []
+    for y, ends in columns:
+        dy = [b - a for a, b in zip(y, y[1:])]
+        m = [d / h for d, h in zip(dy, dx)]
+        # (sub, diag, super, rhs) per node
+        rows = [(0.0, 1.0, 0.0, ends[0]) if ends else (0.0, dx[1], d0, (
+            (dx[0] + 2 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0)]
+        rows += [(dx[i], 2 * (dx[i - 1] + dx[i]), dx[i - 1],
+                  3 * (dx[i] * m[i - 1] + dx[i - 1] * m[i]))
+                 for i in range(1, len(dx))]
+        rows.append((0.0, 1.0, 0.0, ends[1]) if ends else (d1, dx[-2], 0.0, (
+            dx[-1] ** 2 * m[-2] + (2 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1))
+        sweep, c, r = [], 0.0, 0.0
+        for sub, diag, sup, rhs in rows:
+            den = diag - sub * c
+            c, r = sup / den, (rhs - sub * r) / den
+            sweep.append((c, r))
+        s = [r]
+        for c, r in sweep[-2::-1]:
+            s.append(r - c * s[-1])
+        s.reverse()
+        # F[0], F[1], F[2] of singular_ivp._segment; the higher terms 0
+        cols.append([(0.0, 0.0, 0.0, 0.0, 2 * d - h * (s0 + s1), h * s0 - d,
+                      d, y0) for y0, d, h, s0, s1 in zip(y, dy, dx, s, s[1:])])
+    return dense_reader(None, ts, list(zip(ts, dx, zip(*cols))))
+
+
+def _three_rows(rows, name, size=None):
+    """rows as three lists of finite floats, of length size if given."""
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    if len(rows) != 3 or not all(r.ndim == 1 and size in (None, r.size)
+                                 and np.all(np.isfinite(r)) for r in rows):
+        raise ValueError("%s must be three rows of finite numbers%s" % (
+            name, "" if size is None else ", each as long as samples.t"))
+    return [r.tolist() for r in rows]
+
+
 def structure_from_json(doc):
     """Rebuild a StructureData from the document structure_to_json writes.
 
-    Evaluators use cubic-spline interpolation of the samples (end slopes
-    of A and B clamped to the stored derivatives); Taylor data comes from
-    the series block.  Symmetric if each table's three entries agree.
-    """
-    from scipy.interpolate import CubicSpline
-
-    unknown = set(doc) - _STRUCTURE_KEYS
-    if unknown:
-        raise ValueError("unknown structure keys: %s" % sorted(unknown))
-    missing = _STRUCTURE_KEYS - set(doc)
-    if missing:
-        raise ValueError("missing structure keys: %s" % sorted(missing))
-    b0 = _positive_finite("b0", doc["b0"])
+    Evaluators read one reader of 12 cubic splines through the samples
+    (end slopes of A and B clamped to the stored derivatives, dA and dB
+    not-a-knot); Taylor data comes from the series block.  Symmetric if
+    each table's three entries agree."""
+    for what, keys in (("unknown", set(doc) - _STRUCTURE_KEYS),
+                       ("missing", _STRUCTURE_KEYS - set(doc))):
+        if keys:
+            raise ValueError("%s structure keys: %s" % (what, sorted(keys)))
     b2 = float(doc["b2"])
-    a3 = [float(x) for x in doc["a3"]]
-    a5 = [float(x) for x in doc["a5"]]
+    a3, a5 = ([float(x) for x in doc[key]] for key in ("a3", "a5"))
     if len(a3) != 3 or len(a5) != 3:
         raise ValueError("a3 and a5 must have three entries")
     samples = doc["samples"]
@@ -584,37 +622,33 @@ def structure_from_json(doc):
         raise ValueError("sample keys must be %s, got %s"
                          % (sorted(_SAMPLE_KEYS), sorted(samples)))
     ts = np.asarray(samples["t"], dtype=float)
-    if ts.ndim != 1 or ts.size < 4 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
-        raise ValueError("samples.t must increase strictly from 0")
+    if (ts.ndim != 1 or ts.size < 4 or ts[0] != 0.0
+            or not np.all(np.diff(ts) > 0) or not math.isfinite(ts[-1])):
+        raise ValueError("samples.t must be finite and increase strictly "
+                         "from 0")
     t_max = float(doc["t_max"])
     if not 0 < t_max <= ts[-1] * (1 + 1e-12):
         raise ValueError("t_max must be positive and covered by samples")
+    av, bv, dav, dbv = (_three_rows(samples[key], "samples." + key, ts.size)
+                        for key in ("A", "B", "dA", "dB"))
+    if any(x <= 0 for row in av for x in row[1:]) or min(map(min, bv)) <= 0:
+        raise ValueError("A_i must be positive for t > 0 and B_i > 0")
+    ends = [(d[0], d[-1]) for d in dav + dbv] + [None] * 6
+    read = _spline_reader(ts.tolist(), list(zip(av + bv + dav + dbv, ends)))
+    A, B, dA, dB = ([lambda t, k=k + i: read(_in_range(t, t_max))[k]
+                     for i in range(3)] for k in (0, 3, 6, 9))
 
-    A, B, dA, dB = [], [], [], []
-    for i in range(3):
-        av, bv, dav, dbv = (np.asarray(samples[key][i], dtype=float)
-                            for key in ("A", "B", "dA", "dB"))
-        if np.any(av[1:] <= 0) or np.any(bv <= 0):
-            raise ValueError("A_i must be positive for t > 0 and B_i > 0")
-        ai = CubicSpline(ts, av, bc_type=((1, dav[0]), (1, dav[-1])))
-        bi = CubicSpline(ts, bv, bc_type=((1, dbv[0]), (1, dbv[-1])))
-        dai, dbi = CubicSpline(ts, dav), CubicSpline(ts, dbv)
-        A.append(lambda t, f=ai: float(f(_in_range(t, t_max))))
-        B.append(lambda t, f=bi: float(f(_in_range(t, t_max))))
-        dA.append(lambda t, f=dai: float(f(_in_range(t, t_max))))
-        dB.append(lambda t, f=dbi: float(f(_in_range(t, t_max))))
-
-    series = doc["series"]
-    A_series = [PowerSeries(series["A"][i], parity="odd") for i in range(3)]
-    B_series = [PowerSeries(series["B"][i], parity="even") for i in range(3)]
+    A_series, B_series = ([PowerSeries(c, parity=parity) for c in _three_rows(
+        doc["series"][key], "series." + key)] for key, parity in (
+        ("A", "odd"), ("B", "even")))
     derived = [B_series[0][2]] + [p[k] for k in (3, 5) for p in A_series]
     for got, want in zip([b2] + a3 + a5, derived):
         if not abs(got - want) <= 1e-12 * max(1.0, abs(want)):
             raise ValueError("b2, a3 and a5 must match the series block")
-    same = all(b[0] == b[1] == b[2] for b in [series["A"], series["B"]]
-               + [samples[key] for key in ("A", "B", "dA", "dB")])
+    same = all(b[0] == b[1] == b[2]
+               for b in (A_series, B_series, av, bv, dav, dbv))
     return StructureData(doc["label"], A, B, dA, dB, A_series, B_series,
-                         b0=b0, b2=b2, t_max=t_max, symmetric=same)
+                         b0=doc["b0"], b2=b2, t_max=t_max, symmetric=same)
 
 
 def save_structure(s, path, n_samples=1201):

@@ -15,8 +15,8 @@ import pytest
 from g2flow.algebra import (ConnectionCoeffs, curvature_direct,
                             curvature_lemma2, random_rational_connection)
 from g2flow.instantons import (abelian_connection, flat_pid, p1_ivp, pid_ivp,
-                               residual_pointwise, su23_p1_ivp, su23_pid_ivp,
-                               theta_x1, theta_y0, theta_zero)
+                               residual_pointwise, su23_pid_ivp, theta_x1,
+                               theta_y0, theta_zero)
 from g2flow.singular_ivp import malgrange_check
 from g2flow.structures import PowerSeries, make_su23_structure
 from g2flow.verify import (P1_SPECTRUM, PID_SPECTRUM, bubbling_report,
@@ -117,14 +117,14 @@ def test_07_forward_invariance_to_t50(bs):
 def test_08_boundary_coefficients_vs_differentiation(bs):
     t = 1e-2
     for x1 in (1.0, 2.0):
-        ivp = su23_p1_ivp(bs, x1)
+        ivp = p1_ivp(bs, (x1,) * 3)
         x = theta_x1(bs, x1).extras["x"]
 
         def g(h):
             return (x(h) - x1 * h) / h ** 3
 
         assert rel_err(richardson(g, t), ivp.y0[0]) <= 1e-6
-        assert ivp.y0[1] == 0.0
+        assert ivp.y0[3] == 0.0
 
     ivp = su23_pid_ivp(bs, 0.0)
     x = theta_zero(bs).extras["x"]

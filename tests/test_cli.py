@@ -151,8 +151,8 @@ def test_theta_y0_rejects_bad_order(lin, order):
 
 
 def test_cli_import_leaves_interpolate_unloaded():
-    # only file structures need scipy (for CubicSpline); the integrator is
-    # the package's own
+    # the package imports no scipy module: the integrator and the
+    # structure-file splines are its own
     code = ("import sys, g2flow.cli; print('scipy.interpolate' in "
             "sys.modules, sorted(m for m in sys.modules if m == 'scipy' "
             "or m.startswith('scipy.')))")

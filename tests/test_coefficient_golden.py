@@ -4,7 +4,7 @@ sides.
 coefficient_golden.json holds the float.hex() of every coefficient table
 entry (and F, G, scalar_F) on six structures, at points on both sides
 of both cutoffs, of every table at the variable-t series, and of the
-M(t, y) of p1_ivp, pid_ivp, su23_p1_ivp, su23_pid_ivp and of the abelian
+M(t, y) of p1_ivp, pid_ivp, su23_pid_ivp and of the abelian
 rate right-hand side at three (t, y) points and at series input.  Any
 change to how these are evaluated must keep every bit.  A structure
 whose three series blocks differ is not symmetric, so it has no
@@ -22,7 +22,7 @@ from g2flow import instantons
 from g2flow._series import PowerSeries, ps_var
 from g2flow.cli import build_structure
 from g2flow.instantons import (abelian_connection, p1_ivp, pid_ivp,
-                               su23_p1_ivp, su23_pid_ivp)
+                               su23_pid_ivp)
 from g2flow.structures import (coefficient_functions, make_bryant_salamon,
                                make_linear_example, structure_from_json,
                                structure_to_json)
@@ -87,7 +87,6 @@ def _fields(s):
               "pid": pid_ivp(s, 0.5 / s.b0, 0.1, -0.2).M,
               "abelian": _abelian_rhs(s)}
     if s.symmetric:
-        fields["su23-p1"] = su23_p1_ivp(s, 1.5).M
         fields["su23-pid"] = su23_pid_ivp(s, 0.5 / s.b0).M
     return fields
 

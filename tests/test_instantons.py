@@ -7,8 +7,7 @@ import pytest
 from g2flow.instantons import (_stencil_nodes, abelian_connection,
                                connection_at, flat_pid, p1_ivp, pid_ivp,
                                residual_pointwise, solution_to_csv,
-                               su23_p1_ivp, su23_pid_ivp, theta_x1,
-                               theta_y0, theta_zero)
+                               su23_pid_ivp, theta_x1, theta_y0, theta_zero)
 from g2flow.algebra import ConnectionCoeffs, Su2Vec, constraint_value
 from g2flow import singular_ivp
 from g2flow.singular_ivp import (_brentq, malgrange_check,
@@ -194,13 +193,9 @@ def test_theta_y0_series_handoff(name, request):
 
 def test_boundary_gate_2d(bs, lin):
     for s in (bs, lin):
-        rep1 = malgrange_check(su23_p1_ivp(s, 1.0))
-        assert rep1.gate_pass
-        assert np.allclose(np.sort(rep1.eigenvalues.real), [-6.0, -2.0],
-                           atol=1e-12)
-        rep2 = malgrange_check(su23_pid_ivp(s, 0.5))
-        assert rep2.gate_pass
-        assert np.allclose(np.sort(rep2.eigenvalues.real), [-4.0, -2.0],
+        rep = malgrange_check(su23_pid_ivp(s, 0.5))
+        assert rep.gate_pass
+        assert np.allclose(np.sort(rep.eigenvalues.real), [-4.0, -2.0],
                            atol=1e-12)
 
 
@@ -229,8 +224,7 @@ def test_exact_jacobians_match_m_minus1(name, request):
     ivps = [p1_ivp(s, f1) for f1 in ((1.0, 1.0, 1.0), (0.3, 1.7, 2.9),
                                      (1e4, 2e4, 3e4), (-2.0, 0.5, 0.0))]
     ivps += [pid_ivp(s, 0.5, 0.3, -0.7), pid_ivp(s, -1.2, 2.0, 0.25)]
-    ivps += [su23_p1_ivp(s, 1.3), su23_pid_ivp(s, 0.4),
-             su23_pid_ivp(s, -2.0)]
+    ivps += [su23_pid_ivp(s, 0.4), su23_pid_ivp(s, -2.0)]
     rng = np.random.default_rng(5)
     eps = np.finfo(float).eps
     for ivp in ivps:
@@ -352,13 +346,12 @@ def test_abelian_t0_lies_inside_the_profile_range(lin5):
     (lambda s: pid_ivp(s, NAN), "b0_minus"),
     (lambda s: pid_ivp(s, 0.5, INF), "u2_0"),
     (lambda s: pid_ivp(s, 0.5, 0.0, -INF), "u3_0"),
-    (lambda s: su23_p1_ivp(s, NAN), "x1"),
     (lambda s: su23_pid_ivp(s, INF), "y0"),
     (lambda s: abelian_connection(s, 1.0, (1.0, 0.0)), "aplus_t0"),
     (lambda s: abelian_connection(s, 1.0, (1.0, 0.0, 0.0), (1, 0, 0, 5)),
      "aminus_t0"),
 ], ids=["p1-nan", "p1-inf", "p1-two-entries", "pid-b0-minus-nan",
-        "pid-u2-inf", "pid-u3-inf", "su23-p1-x1-nan", "su23-pid-y0-inf",
+        "pid-u2-inf", "pid-u3-inf", "su23-pid-y0-inf",
         "abelian-aplus-two-entries", "abelian-aminus-four-entries"])
 def test_singular_builders_reject_bad_arguments(lin5, build, name):
     # before, these built a problem with a non-finite y0, raised

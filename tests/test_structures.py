@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from functools import partial
@@ -7,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import g2flow
 from g2flow import singular_ivp
 from g2flow._series import ps_var
 from g2flow.cli import build_structure, main
@@ -259,6 +262,114 @@ def test_json_rejects_boundary_data_off_the_series(bs, lin, tmp_path):
         assert main(["structure", "--kind", "file", "--path", str(path),
                      "--out", str(out)]) == 2
         assert list(out.iterdir()) == []
+
+
+def _tampered(doc, change):
+    bad = json.loads(json.dumps(doc))
+    change(bad)
+    return bad
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+# before the loader checked its tables, 2 rows or 2 series blocks raised
+# IndexError (exit 1), and 4 rows, 4 blocks or non-finite series
+# coefficients loaded; scipy's CubicSpline, which the loader used to
+# build, rejected the other cases, which stay rejected
+@pytest.mark.parametrize("change, key", [
+    (lambda d: d["samples"]["A"].pop(), "samples.A"),
+    (lambda d: d["samples"]["A"].append(d["samples"]["A"][0]), "samples.A"),
+    (lambda d: d["series"]["A"].pop(), "series.A"),
+    (lambda d: d["series"]["B"].append(d["series"]["B"][0]), "series.B"),
+    (lambda d: d["series"]["A"][0].__setitem__(7, NAN), "series.A"),
+    (lambda d: d["series"]["A"][1].__setitem__(9, INF), "series.A"),
+    (lambda d: d["samples"]["t"].__setitem__(5, NAN), "samples.t"),
+    (lambda d: d["samples"]["t"].__setitem__(-1, INF), "samples.t"),
+    (lambda d: d["samples"]["A"][0].__setitem__(5, NAN), "samples.A"),
+    (lambda d: d["samples"]["A"][0].__setitem__(5, None), "samples.A"),
+    (lambda d: d["samples"]["dA"][2].__setitem__(5, NAN), "samples.dA"),
+    (lambda d: d["samples"]["dB"][1].__setitem__(-1, INF), "samples.dB"),
+    (lambda d: d["samples"]["B"][1].pop(), "samples.B"),
+], ids=["table-two-rows", "table-four-rows", "series-two-blocks",
+        "series-four-blocks", "series-nan", "series-inf", "t-nan",
+        "t-end-inf", "A-nan", "A-null", "dA-nan", "dB-end-inf", "short-row"])
+def test_json_rejects_malformed_tables(change, key, tmp_path):
+    doc = structure_to_json(make_bryant_salamon(5.0), n_samples=41)
+    bad = _tampered(doc, change)
+    with pytest.raises(ValueError, match="^%s must be" % key):
+        structure_from_json(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    assert main(["structure", "--kind", "file", "--path", str(path),
+                 "--out", str(out)]) == 2
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def _unequal_rows(d):
+    # unequal B and dA rows: every column is its own spline
+    d["samples"]["dA"][2] = [1.01 * v for v in d["samples"]["dA"][2]]
+    d["samples"]["B"][1] = [1.02 * v for v in d["samples"]["B"][1]]
+
+
+@pytest.fixture(scope="module")
+def spline_docs():
+    bs = make_bryant_salamon(60.0)
+    docs = {"bs-%d" % n: structure_to_json(bs, n_samples=n)
+            for n in (4, 9, 201, 1201)}
+    for n in (201, 1201):
+        docs["asymmetric-%d" % n] = _tampered(docs["bs-%d" % n],
+                                              _unequal_rows)
+    docs["linear-201"] = structure_to_json(make_linear_example(1.0, 5.0),
+                                           n_samples=201)
+    docs["su23-201"] = structure_to_json(build_structure({"kind": "su23"}),
+                                         n_samples=201)
+    return docs
+
+
+@pytest.mark.parametrize("name", ["bs-4", "bs-9", "bs-201", "bs-1201",
+                                  "asymmetric-201", "asymmetric-1201",
+                                  "linear-201", "su23-201"])
+def test_json_splines_match_cubic_spline(spline_docs, name):
+    # scipy is the oracle: A and B clamped to the first and last stored
+    # derivative samples, dA and dB not-a-knot
+    from scipy.interpolate import CubicSpline
+
+    doc = spline_docs[name]
+    s = structure_from_json(doc)
+    assert s.symmetric == (not name.startswith("asymmetric"))
+    ts = np.asarray(doc["samples"]["t"])
+    pts = np.concatenate([ts, np.random.default_rng(7).uniform(
+        0.0, s.t_max, 3000)])
+    got = np.array([s.frame(float(t)) for t in pts])
+    for k, key in enumerate(("A", "B", "dA", "dB")):
+        for i in range(3):
+            y = doc["samples"][key][i]
+            if key in ("A", "B"):
+                d = doc["samples"]["d" + key][i]
+                ref = CubicSpline(ts, y, bc_type=((1, d[0]), (1, d[-1])))
+            else:
+                ref = CubicSpline(ts, y)
+            want = ref(pts)
+            assert np.all(np.abs(got[:, k, i] - want)
+                          <= 1e-13 * np.abs(want)), (key, i)
+
+
+def test_json_structure_loads_no_scipy(tmp_path):
+    # the splines are the package's own: a loaded structure, a family on
+    # it and a frame import no scipy module
+    path = tmp_path / "s.json"
+    save_structure(make_bryant_salamon(5.0), path, n_samples=201)
+    code = ("import sys; from g2flow import load_structure, theta_x1; "
+            "s = load_structure(sys.argv[1]); theta_x1(s, 1.0).f6(2.0); "
+            "s.frame(1.5); print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(g2flow.__file__))
+    out = subprocess.run([sys.executable, "-c", code, str(path)],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_structure_rejects_nonpositive_b0():

@@ -29,6 +29,13 @@ CLI = [
     ("structure-linear", ["structure", "--kind", "linear"]),
     ("structure-file", ["structure", "--kind", "file", "--path",
                         "../structure-r-max-5/structure.json"]),
+    # solves on a loaded structure read the splines of structure_from_json
+    ("solve-file-theta-x1", ["solve", "--structure",
+                             "../structure-r-max-5/structure.json",
+                             "--family", "theta-x1"]),
+    ("solve-file-theta-y0", ["solve", "--structure",
+                             "../structure-r-max-5/structure.json",
+                             "--family", "theta-y0", "--y0", "0.5"]),
     ("solve-theta-x1", ["solve", "--family", "theta-x1"]),
     ("solve-theta-zero", ["solve", "--family", "theta-zero"]),
     ("solve-abelian", ["solve", "--family", "abelian"]),

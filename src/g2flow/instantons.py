@@ -501,8 +501,7 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
 
     def f6(t):
         iv = (up if t >= t0 else down)(t)
-        sc2 = (t / t0) ** 2
-        sc4 = (t0 / t) ** 4
+        sc2, sc4 = (t / t0) ** 2, (t0 / t) ** 4
         out = np.empty(6)
         for i in range(3):
             out[i] = ap0[i] * sc2 * math.exp(-iv[i])

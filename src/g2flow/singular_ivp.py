@@ -125,8 +125,7 @@ def malgrange_check(ivp):
     tol = eig_tol = 1e-8
     y0 = np.asarray(ivp.y0, dtype=float)
     r = float(np.max(np.abs(np.asarray(ivp.M_minus1(y0), dtype=float))))
-    J = ivp.jacobian
-    eig = np.linalg.eigvals(J)
+    eig = np.linalg.eigvals(ivp.jacobian)
     offending = None
     for lam in sorted(eig, key=lambda z: z.real):
         if abs(lam.imag) <= eig_tol:
@@ -135,7 +134,7 @@ def malgrange_check(ivp):
                 offending = h
                 break
     gate = (r <= tol) and offending is None
-    return MalgrangeReport(r, J, eig, gate, offending, tol, eig_tol)
+    return MalgrangeReport(r, ivp.jacobian, eig, gate, offending, tol, eig_tol)
 
 
 def _coeff(x, k):
@@ -149,7 +148,7 @@ def series_bootstrap(ivp, order=8, check=None):
 
     c_k solves (k I - J) c_k = [t^k] M_{-1}(y_{<k}) + [t^{k-1}] M(t, y_{<k}),
     with the coefficient extraction done by evaluating M_{-1} and M on
-    truncated power series.
+    the power series truncated at t^k, which is all c_k reads.
     """
     if not (isinstance(order, numbers.Integral) and order >= 0):
         raise ValueError("order must be an integer >= 0")
@@ -160,17 +159,16 @@ def series_bootstrap(ivp, order=8, check=None):
             % (ivp.label, rep.residual_at_y0, rep.offending_h))
     dim = len(ivp.y0)
     J = rep.jacobian
-    I = np.eye(dim)
     coeffs = np.zeros((dim, order + 1))
     coeffs[:, 0] = np.asarray(ivp.y0, dtype=float)
     tps = ps_var(order)
     for k in range(1, order + 1):
-        y_ps = [PowerSeries(list(coeffs[i])) for i in range(dim)]
+        y_ps = [PowerSeries(coeffs[i, :k + 1].tolist()) for i in range(dim)]
         m1 = ivp.M_minus1(y_ps)
         mm = ivp.M(tps, y_ps)
         rhs = np.array([_coeff(m1[i], k) + _coeff(mm[i], k - 1)
                         for i in range(dim)], dtype=float)
-        coeffs[:, k] = np.linalg.solve(k * I - J, rhs)
+        coeffs[:, k] = np.linalg.solve(k * np.eye(dim) - J, rhs)
     return [PowerSeries(coeffs[i].tolist()) for i in range(dim)]
 
 
@@ -296,8 +294,8 @@ _D = np.array([-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777,
     -37.45832313645163, 104.0996495089623, 29.8402934266605,
     -43.53345659001114, 96.32455395918828, -39.17726167561544,
     -149.72683625798564]).reshape(4, 16)
-_RK_STAGES = [(s, _A[s, :s], _C[s]) for s in range(1, 12)]
-_DENSE_STAGES = [(s, _A[s, :s], _C[s]) for s in (13, 14, 15)]
+_RK_STAGES = [(s, _A[s, :s], float(_C[s])) for s in range(1, 12)]
+_DENSE_STAGES = [(s, _A[s, :s], float(_C[s])) for s in (13, 14, 15)]
 _BRENT_TOL = 4 * np.finfo(float).eps    # xtol = rtol of the event roots
 
 
@@ -352,7 +350,7 @@ def _brentq(f, xa, xb):
 
 def _norm(x):
     """np.linalg.norm(x) of a float vector, by the same two operations."""
-    return np.sqrt(x.dot(x))
+    return math.sqrt(x.dot(x))
 
 
 def _segment(rhs, t, h, y, y_new, stages):
@@ -360,7 +358,7 @@ def _segment(rhs, t, h, y, y_new, stages):
     record: its three interpolation stages, then F, as scipy's DOP853."""
     K = np.concatenate((stages, np.empty((3, y.size))))
     for s, a, c in _DENSE_STAGES:
-        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
+        K[s] = rhs(t + c * h, (y + K[:s].T.dot(a) * h).tolist())
     F = np.empty((7, y.size))
     F[0] = dy = y_new - y
     F[1] = h * K[0] - dy
@@ -389,30 +387,31 @@ def _checked(t_span, y0, rtol):
 
 def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
     """The package's one DOP853 solve: a port of scipy's solve_ivp(
-    method="DOP853", dense_output=True, events=...), with the same numpy
-    operations in the same order.  EventSpec events are recorded by time,
+    method="DOP853", dense_output=True, events=...), with the same float
+    operations in the same order.  rhs gets a float t and a list of floats
+    y, an event's fn an ndarray y.  EventSpec events are recorded by time,
     after the (kind, t) of pre; a terminal one stops at its first root.
     meta holds "interp" (the dense_reader of the step records) and the
     counts "nfev" (stepping calls only: scipy's less 3 per accepted step),
     "steps" and "rejected".  A failed step controller, a non-finite
     f(t0, y0) or step size raise IntegrationError with the valid part."""
     t, t_bound, y = _checked(t_span, y0, rtol)
-    direction, n = np.sign(t_bound - t), y.size
+    direction, n = math.copysign(1.0, t_bound - t), y.size
     K = np.empty((13, n))        # stage rows; row 12 is f at the step end
     KT = [K[:s].T for s in range(14)]
     ts, ys, steps, t_events = [t], [y], [], [[] for _ in events]
     g = [float(ev.fn(t, y)) for ev in events]
     status, message, nfev, accepted, rejected = None, None, 1, 0, 0
 
-    f = np.asarray(rhs(t, y), dtype=float)
+    f = np.asarray(rhs(t, y.tolist()), dtype=float)
     if np.isfinite(f).all():     # select_initial_step
         nfev = 2
         scale = atol + np.abs(y) * rtol
         d0, d1 = _norm(y / scale) / n ** 0.5, _norm(f / scale) / n ** 0.5
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, abs(t_bound - t))
-        f1 = np.asarray(rhs(t + h0 * direction, y + h0 * direction * f),
-                        dtype=float)
+        f1 = np.asarray(rhs(t + h0 * direction,
+                            (y + h0 * direction * f).tolist()), dtype=float)
         d2 = _norm((f1 - f) / scale) / n ** 0.5 / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -437,13 +436,13 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
             h_abs = abs(h)
             K[0] = f
             for s, a, c in _RK_STAGES:
-                K[s] = rhs(t + c * h, y + np.dot(KT[s], a) * h)
-            y_new = y + h * np.dot(KT[12], _B)
-            K[12] = f_new = np.asarray(rhs(t + h, y_new), dtype=float)
+                K[s] = rhs(t + c * h, (y + KT[s].dot(a) * h).tolist())
+            y_new = y + h * KT[12].dot(_B)
+            K[12] = f_new = np.asarray(rhs(t + h, y_new.tolist()), float)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = _norm(np.dot(KT[13], _E5) / scale) ** 2
-            e3 = _norm(np.dot(KT[13], _E3) / scale) ** 2
-            error_norm = (abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+            e5 = _norm(KT[13].dot(_E5) / scale) ** 2
+            e3 = _norm(KT[13].dot(_E3) / scale) ** 2
+            error_norm = (abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n)
                           if e5 or e3 else 0.0)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(
@@ -555,7 +554,7 @@ def integrate_blowup(rhs, t_span, y0, tol, events, label, threshold):
     meta = dict.fromkeys(("nfev", "steps", "rejected"), 0)
 
     def field(t, q):
-        q, qq, qf = q.tolist(), 0.0, 0.0
+        qq, qf = 0.0, 0.0
         for c in q:
             qq += c * c
         f = rhs(t, [c / qq for c in q])
@@ -629,8 +628,7 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10):
     rep, series, y_eps, mismatch = series_handoff(ivp, eps, order=order)
 
     def rhs(t, y):
-        return (np.asarray(ivp.M_minus1(y), dtype=float) / t
-                + np.asarray(ivp.M(t, y), dtype=float))
+        return [a / t + b for a, b in zip(ivp.M_minus1(y), ivp.M(t, y))]
 
     traj = integrate(rhs, (eps, t_end), y_eps, tol=tol, label=ivp.label)
     dense = traj.meta.get("interp")

@@ -105,15 +105,18 @@ class StructureData:
 
 def _positive_finite(name, value):
     """value as a float; ValueError unless it is finite and positive."""
-    value = float(value)
-    if not (value > 0 and math.isfinite(value)):
+    value = _finite(name, value)
+    if not value > 0:
         raise ValueError("%s must be positive and finite" % name)
     return value
 
 
 def _finite(name, value):
-    """value as a float; ValueError unless it is finite."""
-    value = float(value)
+    """value as a float; ValueError unless it is a finite number."""
+    try:
+        value = float(value)
+    except TypeError:
+        value = math.nan
     if not math.isfinite(value):
         raise ValueError("%s must be finite" % name)
     return value
@@ -348,9 +351,7 @@ class _RegularFn:
 
     def __init__(self, ps, direct, cutoff, t_max):
         self.poly = PowerSeries([float(c) for c in ps])
-        self.direct = direct
-        self.cutoff = cutoff
-        self.t_max = t_max
+        self.direct, self.cutoff, self.t_max = direct, cutoff, t_max
 
     def __call__(self, t):
         if t < self.cutoff:
@@ -368,9 +369,8 @@ def _radius_from_tail(ps):
     c = [abs(x) for x in ps]
     for k in range(len(c) - 1, 5, -1):
         if c[k] > 0 and c[k - 2] > 0:
-            if c[k] <= c[k - 2]:
-                return math.inf
-            return math.sqrt(c[k - 2] / c[k])
+            return (math.inf if c[k] <= c[k - 2]
+                    else math.sqrt(c[k - 2] / c[k]))
     return math.inf
 
 
@@ -613,10 +613,13 @@ def structure_from_json(doc):
                        ("missing", _STRUCTURE_KEYS - set(doc))):
         if keys:
             raise ValueError("%s structure keys: %s" % (what, sorted(keys)))
-    b2 = float(doc["b2"])
-    a3, a5 = ([float(x) for x in doc[key]] for key in ("a3", "a5"))
+    if not isinstance(doc["label"], str):
+        raise ValueError("label must be a string")
+    b2 = _finite("b2", doc["b2"])
+    a3, a5 = ([_finite(key, x) for x in doc[key] or ()]
+              for key in ("a3", "a5"))
     if len(a3) != 3 or len(a5) != 3:
-        raise ValueError("a3 and a5 must have three entries")
+        raise ValueError("a3 and a5 must be three numbers each")
     samples = doc["samples"]
     if set(samples) != _SAMPLE_KEYS:
         raise ValueError("sample keys must be %s, got %s"
@@ -626,7 +629,7 @@ def structure_from_json(doc):
             or not np.all(np.diff(ts) > 0) or not math.isfinite(ts[-1])):
         raise ValueError("samples.t must be finite and increase strictly "
                          "from 0")
-    t_max = float(doc["t_max"])
+    t_max = _finite("t_max", doc["t_max"])
     if not 0 < t_max <= ts[-1] * (1 + 1e-12):
         raise ValueError("t_max must be positive and covered by samples")
     av, bv, dav, dbv = (_three_rows(samples[key], "samples." + key, ts.size)

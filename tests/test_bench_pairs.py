@@ -73,3 +73,13 @@ def test_claim_rule_and_bounds():
                                 bench_pairs.bounds(tree))["w"]
     assert got["task_p50_s"]["pairs_change_better"] == "9 of 10"
     assert got["task_p50_s"]["claim_rule_met"] is False
+
+
+def test_machine_records_blas_and_cpu_flags(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    got = bench_pairs.machine()
+    assert got["OPENBLAS_CORETYPE"] == "Haswell"
+    assert set(got["blas"]) == {"name", "version", "openblas configuration"}
+    assert got["cpu_flags"] is None or (
+        sorted(got["cpu_flags"]) == ["avx2", "avx512f", "fma"]
+        and all(type(v) is bool for v in got["cpu_flags"].values()))

@@ -10,6 +10,14 @@ change to how these are evaluated must keep every bit.  A structure
 whose three series blocks differ is not symmetric, so it has no
 scalar_F and no su23 fields.
 
+The bits hold only on the BLAS kernel they were captured on (OpenBLAS
+0.3.31 running its SkylakeX kernel): the profiles come from DOP853
+solves whose stage sums are BLAS dgemv calls, and their FMA use and
+summation order depend on the kernel.  Under OPENBLAS_CORETYPE=Haswell,
+Nehalem, Sandybridge or Prescott the ('bryant-salamon', 'tables') entry
+differs in its last bits.  The agreement with scipy holds on any
+machine, because scipy's stepper makes the same ndarray.dot calls.
+
 Regenerate (only for a deliberate change of values) with
     PYTHONPATH=src python tests/test_coefficient_golden.py
 """

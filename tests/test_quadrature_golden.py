@@ -9,6 +9,14 @@ quadrature_golden.json holds the float.hex() of what each solve feeds:
   times, states and events.
 Any change to how these solves are run must keep every bit.
 
+The bits hold only on the BLAS kernel they were captured on (OpenBLAS
+0.3.31 running its SkylakeX kernel): the stepper's stage sums are
+BLAS dgemv calls, whose FMA use and summation order depend on the
+kernel.  Under OPENBLAS_CORETYPE=Haswell, Nehalem, Sandybridge or
+Prescott the abelian-linear entry differs in its last bits.  The
+agreement with scipy (tests/test_singular_ivp.py) holds on any machine,
+because scipy's stepper makes the same ndarray.dot calls.
+
 Regenerate (only for a deliberate change of values) with
     PYTHONPATH=src python tests/test_quadrature_golden.py
 """

@@ -464,3 +464,83 @@ def test_nonfinite_start_raises_instead_of_hanging(rhs, y0, atol):
 def test_singular_ivp_rejects_bad_jacobian(jacobian):
     with pytest.raises(ValueError, match="finite and 2 x 2"):
         SingularIVP(lambda y: y, lambda t, y: y, [0.0, 0.0], jacobian)
+
+
+def test_rhs_gets_python_floats(monkeypatch):
+    # every right-hand-side call of the stepper, its dense reads included,
+    # gets t as a float and y as a list of floats, so the profile
+    # evaluators, coefficient rows and M do no numpy-scalar arithmetic;
+    # the DOP853 solves of structures and instantons are spied on too
+    from g2flow import instantons, structures
+
+    dop853, calls = singular_ivp._dop853, []
+
+    def spied(rhs, *args):
+        def rhs_spy(t, y):
+            calls.append(type(t) is float and type(y) is list
+                         and all(type(v) is float for v in y))
+            return rhs(t, y)
+        return dop853(rhs_spy, *args)
+
+    for module in (singular_ivp, instantons, structures):
+        monkeypatch.setattr(module, "_dop853", spied)
+    counts = {}
+
+    def count(name):
+        counts[name] = len(calls)
+
+    bs = structures.make_bryant_salamon(5.0)
+    count("bryant-salamon")
+    pid = solve_singular(instantons.pid_ivp(bs, 0.5 / bs.b0), t_end=2.0)
+    count("pid")
+    a, b = pid.t[3:5]
+    before = len(calls)
+    pid(0.5 * a + 0.5 * b)               # builds the segment of one step
+    assert len(calls) == before + 3
+    count("dense read")
+    instantons.abelian_connection(bs, 1.0, (1.0, 1.0, 1.0))
+    count("abelian")
+    instantons._eq_data(bs)
+    count("(E, Q)")
+    lin = structures.make_linear_example(1.0, 20.0)
+    member = instantons.theta_y0(lin, 1.5)
+    # the blow-up threshold 1e8 lies past INVERT_AT, so the q phase ran
+    assert member.trajectory.event_times("blow-up")
+    count("theta_y0 blow-up")
+    assert list(counts.values()) == sorted(set(counts.values())), counts
+    assert counts["bryant-salamon"] > 0 and all(calls)
+
+
+def _full_length_bootstrap(ivp, order):
+    """series_bootstrap's coefficients as they were computed before each
+    order read series truncated at that order: every order on full-length
+    series of np.float64 coefficients."""
+    from g2flow._series import PowerSeries, ps_var
+
+    J, dim = malgrange_check(ivp).jacobian, len(ivp.y0)
+    coeffs = np.zeros((dim, order + 1))
+    coeffs[:, 0] = np.asarray(ivp.y0, dtype=float)
+    tps = ps_var(order)
+    for k in range(1, order + 1):
+        y_ps = [PowerSeries(list(coeffs[i])) for i in range(dim)]
+        m1, mm = ivp.M_minus1(y_ps), ivp.M(tps, y_ps)
+        rhs = np.array([singular_ivp._coeff(m1[i], k)
+                        + singular_ivp._coeff(mm[i], k - 1)
+                        for i in range(dim)], dtype=float)
+        coeffs[:, k] = np.linalg.solve(k * np.eye(dim) - J, rhs)
+    return coeffs.tolist()
+
+
+@pytest.mark.parametrize("order", [8, 10, 14])
+def test_truncated_bootstrap_matches_full_length_bits(bs, lin, order):
+    from g2flow.instantons import p1_ivp, pid_ivp, su23_pid_ivp
+
+    for s in (bs, lin):
+        for ivp in (pid_ivp(s, 0.5 / s.b0), p1_ivp(s),
+                    su23_pid_ivp(s, 0.5 / s.b0)):
+            got = [list(p) for p in series_bootstrap(ivp, order=order)]
+            assert all(type(c) is float for p in got for c in p)
+            assert [[c.hex() for c in p] for p in got] == [
+                [c.hex() for c in p]
+                for p in _full_length_bootstrap(ivp, order)], (s.label,
+                                                                ivp.label)

@@ -276,7 +276,8 @@ NAN, INF = float("nan"), float("inf")
 # before the loader checked its tables, 2 rows or 2 series blocks raised
 # IndexError (exit 1), and 4 rows, 4 blocks or non-finite series
 # coefficients loaded; scipy's CubicSpline, which the loader used to
-# build, rejected the other cases, which stay rejected
+# build, rejected the other cases, which stay rejected; a null b0, b2, t_max,
+# a3 or entry of a3 raised TypeError (exit 1), and a null label loaded
 @pytest.mark.parametrize("change, key", [
     (lambda d: d["samples"]["A"].pop(), "samples.A"),
     (lambda d: d["samples"]["A"].append(d["samples"]["A"][0]), "samples.A"),
@@ -291,9 +292,17 @@ NAN, INF = float("nan"), float("inf")
     (lambda d: d["samples"]["dA"][2].__setitem__(5, NAN), "samples.dA"),
     (lambda d: d["samples"]["dB"][1].__setitem__(-1, INF), "samples.dB"),
     (lambda d: d["samples"]["B"][1].pop(), "samples.B"),
+    (lambda d: d.__setitem__("b0", None), "b0"),
+    (lambda d: d.__setitem__("b2", None), "b2"),
+    (lambda d: d.__setitem__("t_max", None), "t_max"),
+    (lambda d: d.__setitem__("a3", None), "a3 and a5"),
+    (lambda d: d["a3"].__setitem__(1, None), "a3"),
+    (lambda d: d.__setitem__("label", None), "label"),
 ], ids=["table-two-rows", "table-four-rows", "series-two-blocks",
         "series-four-blocks", "series-nan", "series-inf", "t-nan",
-        "t-end-inf", "A-nan", "A-null", "dA-nan", "dB-end-inf", "short-row"])
+        "t-end-inf", "A-nan", "A-null", "dA-nan", "dB-end-inf", "short-row",
+        "b0-null", "b2-null", "t-max-null", "a3-null", "a3-entry-null",
+        "label-null"])
 def test_json_rejects_malformed_tables(change, key, tmp_path):
     doc = structure_to_json(make_bryant_salamon(5.0), n_samples=41)
     bad = _tampered(doc, change)

@@ -14,7 +14,9 @@ changed (run.py itself writes its full result into the tree's
 the committed BENCH_*.json files:
 
     what      what was compared and how
-    machine   cpu count and the Python, numpy and scipy versions
+    machine   cpu count, the Python, numpy and scipy versions, numpy's
+              BLAS build, OPENBLAS_CORETYPE and whether /proc/cpuinfo
+              lists the avx2, fma and avx512f flags
     commands  the run.py command line
     summary   per workload and metric: both sides' values in seed order,
               medians, quartiles, change_over_parent, how many pairs
@@ -127,11 +129,32 @@ def summarize(runs, better, bound=None):
     return out
 
 
+def cpu_flags():
+    """Whether /proc/cpuinfo lists the avx2, fma and avx512f flags (None
+    where it cannot be read)."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = set()
+            for line in fh:
+                if line.startswith("flags"):
+                    flags.update(line.split(":", 1)[1].split())
+    except OSError:
+        return None
+    return {name: name in flags for name in ("avx2", "fma", "avx512f")}
+
+
 def machine():
+    """The host facts that decide timings and, through the BLAS kernel,
+    the last bits of the stepper's stage sums."""
     import numpy
     import scipy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "blas": {key: blas.get(key) for key in (
+                "name", "version", "openblas configuration")},
+            "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
+            "cpu_flags": cpu_flags(),
             "note": "compare within this file only"}
 
 

@@ -154,7 +154,7 @@ def _bs_series(order):
 
     A' = 1/3 + r^{-3}/6 and B' = A/B with r = sqrt(3) B; each sweep of
     the fixed point gains at least two orders starting from A = t/2,
-    B = b0.
+    B = b0, and a sweep that keeps B bit for bit is a fixed point.
     """
     b0 = _INV_SQRT3
     A = ps_var(order) * 0.5
@@ -164,7 +164,9 @@ def _bs_series(order):
         rinv3 = 1.0 / (r * r * r)
         A = PowerSeries(list((rinv3 * (1.0 / 6.0) + (1.0 / 3.0)).integ()),
                         order=order)
-        B = PowerSeries(list((A / B).integ() + b0), order=order)
+        B, last = PowerSeries(list((A / B).integ() + b0), order=order), B
+        if repr(B) == repr(last):
+            break
     return A, B
 
 
@@ -317,11 +319,13 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
         return math.sqrt(Pfun(t)) / a1(t)
 
     # series for P by fixed point of the same ODE; the t^4 slot contracts
-    # with ratio 1/2 per sweep, so run enough sweeps for full convergence
+    # with ratio 1/2 per sweep, so sweep until P repeats bit for bit
     P = PowerSeries([0.0, 0.0, c0], order=order + 2)
     for _ in range(30 + 3 * order):
-        upd = (P.shift_down(1) * (1.0 / uA) + A_ps ** 3).integ()
-        P = PowerSeries([0.0, 0.0, c0] + list(upd)[3:], order=order + 2)
+        upd = list((P.shift_down(1) * (1.0 / uA) + A_ps ** 3).integ())
+        last, P = P, PowerSeries([0.0, 0.0, c0] + upd[3:], order=order + 2)
+        if repr(P) == repr(last):
+            break
     B_ps = P.shift_down(2).sqrt() * (1.0 / uA)
 
     def dB1_direct(t):
@@ -477,35 +481,39 @@ class CoefficientFns:
         if last[0] == t:
             return last[1]
         s = self.structure
-        n = 1 if s.symmetric else 3
         if t < self.coeff_cutoff or t < self.defl_cutoff:
             _in_range(t, s.t_max)
-        if t < self.coeff_cutoff:
-            reg = [[p[i](t) for i in range(n)] for p in self._polys[:4]]
+        frame = None if t < self.coeff_cutoff else s.frame(t)
+        if s.symmetric:
+            phi, gamma, q, pB, ph, dph, gh = self._slots(t, frame, 0, 1, 2)
+            values = ((phi,) * 3, (gamma,) * 3, (q,) * 3, (pB,) * 3,
+                      (ph,) * 3, (dph,) * 3, (gh,) * 3)
         else:
-            A, B, dA, dB = s.frame(t)
-            reg = [[], [], [], []]
-            for i, j, k in CYC0[:n]:
-                AoBB = A[i] / (B[j] * B[k])
-                AoAA = A[i] / (A[j] * A[k])
-                BoBA = B[i] / (B[j] * A[k])
-                BoAB = B[i] / (A[j] * B[k])
-                reg[0].append(dA[i] / A[i] + AoBB - AoAA + 1.0 / t)
-                reg[1].append(dB[i] / B[i] + BoBA + BoAB - 4.0 / t)
-                reg[2].append(AoBB - AoAA + 2.0 / t)
-                reg[3].append(BoBA + BoAB - 4.0 / t)
-        if t < self.defl_cutoff:
-            defl = [[p[i](t) for i in range(n)] for p in self._polys[4:]]
-        else:
-            phi, gamma = reg[0], reg[1]
-            p1, p3, g1 = self.phi1, self.phi3, self.gamma1
-            defl = [[(phi[i] - p1[i] * t) / (t * t) for i in range(n)],
-                    [(phi[i] - p1[i] * t - p3[i] * t ** 3) / t ** 5
-                     for i in range(n)],
-                    [(gamma[i] - g1[i] * t) / (t * t) for i in range(n)]]
-        values = tuple(tuple(v) * (3 // n) for v in reg + defl)
+            values = tuple(zip(*[self._slots(t, frame, i, j, k)
+                                 for i, j, k in CYC0]))
         self._last = (t, values)
         return values
+
+    def _slots(self, t, frame, i, j, k):
+        """The seven slots of index i at t; frame is s.frame(t) or None."""
+        P = self._polys
+        if frame is None:
+            phi, gamma, q, pB = P[0][i](t), P[1][i](t), P[2][i](t), P[3][i](t)
+        else:
+            A, B, dA, dB = frame
+            AoBB = A[i] / (B[j] * B[k])
+            AoAA = A[i] / (A[j] * A[k])
+            BoBA = B[i] / (B[j] * A[k])
+            BoAB = B[i] / (A[j] * B[k])
+            phi = dA[i] / A[i] + AoBB - AoAA + 1.0 / t
+            gamma = dB[i] / B[i] + BoBA + BoAB - 4.0 / t
+            q = AoBB - AoAA + 2.0 / t
+            pB = BoBA + BoAB - 4.0 / t
+        if t < self.defl_cutoff:
+            return (phi, gamma, q, pB, P[4][i](t), P[5][i](t), P[6][i](t))
+        return (phi, gamma, q, pB, (phi - self.phi1[i] * t) / (t * t),
+                (phi - self.phi1[i] * t - self.phi3[i] * t ** 3) / t ** 5,
+                (gamma - self.gamma1[i] * t) / (t * t))
 
 
 def coefficient_functions(s):

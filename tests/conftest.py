@@ -1,3 +1,6 @@
+import os
+
+import numpy
 import pytest
 from hypothesis import settings
 
@@ -15,6 +18,21 @@ def bs():
 @pytest.fixture(scope="session")
 def lin():
     return make_linear_example(1.0)
+
+
+@pytest.fixture
+def blas_note():
+    """A function naming the BLAS of this run next to the one the golden
+    files were captured on, for the message of a golden bit mismatch:
+    the stepper's stage sums are BLAS dgemv calls, so their last bits
+    depend on the kernel."""
+    def note():
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return ("goldens captured on OpenBLAS 0.3.31 running its SkylakeX "
+                "kernel; this run's BLAS build: %s; OPENBLAS_CORETYPE=%s" % (
+                    blas.get("openblas configuration"),
+                    os.environ.get("OPENBLAS_CORETYPE", "unset")))
+    return note
 
 
 ACCEPTANCE_TITLES = {

@@ -83,3 +83,20 @@ def test_machine_records_blas_and_cpu_flags(monkeypatch):
     assert got["cpu_flags"] is None or (
         sorted(got["cpu_flags"]) == ["avx2", "avx512f", "fma"]
         and all(type(v) is bool for v in got["cpu_flags"].values()))
+
+
+def test_tree_digest_names_the_src_files(tmp_path):
+    import hashlib
+    pkg = tmp_path / "src" / "g2flow"
+    pkg.mkdir(parents=True)
+    (pkg / "b.py").write_bytes(b"x = 2\n")
+    (pkg / "_a.py").write_bytes(b"x = 1\n")
+    (pkg / "notes.txt").write_bytes(b"not code\n")
+    listing = "".join("%s  src/g2flow/%s\n" % (
+        hashlib.sha256(data).hexdigest(), name)
+        for name, data in (("_a.py", b"x = 1\n"), ("b.py", b"x = 2\n")))
+    got = bench_pairs.tree_digest(str(tmp_path))
+    assert got == {"files": 2, "sha256": hashlib.sha256(
+        listing.encode()).hexdigest()}
+    (pkg / "b.py").write_bytes(b"x = 3\n")
+    assert bench_pairs.tree_digest(str(tmp_path))["sha256"] != got["sha256"]

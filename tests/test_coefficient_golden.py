@@ -15,7 +15,8 @@ The bits hold only on the BLAS kernel they were captured on (OpenBLAS
 solves whose stage sums are BLAS dgemv calls, and their FMA use and
 summation order depend on the kernel.  Under OPENBLAS_CORETYPE=Haswell,
 Nehalem, Sandybridge or Prescott the ('bryant-salamon', 'tables') entry
-differs in its last bits.  The agreement with scipy holds on any
+differs in its last bits; a mismatch names the BLAS build and
+OPENBLAS_CORETYPE of the run.  The agreement with scipy holds on any
 machine, because scipy's stepper makes the same ndarray.dot calls.
 
 Regenerate (only for a deliberate change of values) with
@@ -124,14 +125,15 @@ def capture():
     return out
 
 
-def test_coefficient_rows_and_fields_bitwise():
+def test_coefficient_rows_and_fields_bitwise(blas_note):
     with open(GOLDEN) as fh:
         want = json.load(fh)
     got = capture()
     assert sorted(got) == sorted(want)
     for name in want:
         for part in ("tables", "series", "fields"):
-            assert got[name][part] == want[name][part], (name, part)
+            assert got[name][part] == want[name][part], (name, part,
+                                                         blas_note())
 
 
 if __name__ == "__main__":

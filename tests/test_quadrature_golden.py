@@ -13,7 +13,8 @@ The bits hold only on the BLAS kernel they were captured on (OpenBLAS
 0.3.31 running its SkylakeX kernel): the stepper's stage sums are
 BLAS dgemv calls, whose FMA use and summation order depend on the
 kernel.  Under OPENBLAS_CORETYPE=Haswell, Nehalem, Sandybridge or
-Prescott the abelian-linear entry differs in its last bits.  The
+Prescott the abelian-linear entry differs in its last bits; a
+mismatch names the BLAS build and OPENBLAS_CORETYPE of the run.  The
 agreement with scipy (tests/test_singular_ivp.py) holds on any machine,
 because scipy's stepper makes the same ndarray.dot calls.
 
@@ -23,6 +24,8 @@ Regenerate (only for a deliberate change of values) with
 
 import json
 import os
+
+import numpy
 
 from g2flow.cli import build_structure
 from g2flow.instantons import _eq_data, abelian_connection, theta_y0
@@ -62,13 +65,23 @@ def capture():
     return out
 
 
-def test_quadratures_bitwise():
+def test_quadratures_bitwise(blas_note):
     with open(GOLDEN) as fh:
         want = json.load(fh)
     got = capture()
     assert sorted(got) == sorted(want)
     for name in want:
-        assert got[name] == want[name], name
+        assert got[name] == want[name], (name, blas_note())
+
+
+def test_golden_mismatch_names_the_blas_kernels(blas_note, monkeypatch):
+    config = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    note = blas_note()
+    assert "SkylakeX" in note and "OPENBLAS_CORETYPE=Haswell" in note
+    assert str(config.get("openblas configuration")) in note
+    monkeypatch.delenv("OPENBLAS_CORETYPE")
+    assert "OPENBLAS_CORETYPE=unset" in blas_note()
 
 
 if __name__ == "__main__":

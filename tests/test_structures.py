@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import g2flow
-from g2flow import singular_ivp
+from g2flow import singular_ivp, structures
 from g2flow._series import ps_var
 from g2flow.cli import build_structure, main
 from g2flow.instantons import (flat_pid, p1_ivp, pid_ivp, residual_pointwise,
@@ -135,6 +135,53 @@ def test_su23_rejects_bad_inputs():
     with pytest.raises(TypeError):
         make_su23_structure(make_linear_example(1.0, t_max=5.0), 1.0,
                             t_max=5.0)
+
+
+def _hex(ps):
+    return [c.hex() for c in ps]
+
+
+def test_series_fixed_points_stop_where_full_loops_agree(bs, monkeypatch):
+    # the loops stop at the first sweep that repeats B (P) bit for bit;
+    # the full-length loops below are the reference
+    order = SERIES_ORDER
+    A, B = ps_var(order) * 0.5, PowerSeries([structures._INV_SQRT3],
+                                             order=order)
+    for _ in range(order + 2):
+        r = B * math.sqrt(3.0)
+        rinv3 = 1.0 / (r * r * r)
+        A = PowerSeries(list((rinv3 * (1.0 / 6.0) + (1.0 / 3.0)).integ()),
+                        order=order)
+        B = PowerSeries(list((A / B).integ() + structures._INV_SQRT3),
+                        order=order)
+    integ, sweeps = PowerSeries.integ, [0]
+
+    def counted(self):
+        sweeps[0] += 1
+        return integ(self)
+
+    monkeypatch.setattr(PowerSeries, "integ", counted)
+    got = structures._bs_series(order)
+    monkeypatch.undo()
+    assert (_hex(got[0]), _hex(got[1])) == (_hex(A), _hex(B))
+    assert sweeps[0] < 2 * (order + 2)   # two integrations per sweep
+
+    lin_a1 = (lambda t: 0.5 * t, PowerSeries([0.0, 0.5], parity="odd"),
+              lambda t: 0.5)
+    for a1, b0 in ((lin_a1, 1.0), ((bs.A[0], bs.A_series[0], bs.dA[0]),
+                                   bs.b0)):
+        s = make_su23_structure(a1, b0, t_max=10.0)
+        order = max(a1[1].order, 14)
+        A_ps = PowerSeries(a1[1], order=order)
+        uA = A_ps.shift_down(1)
+        c0 = 0.25 * b0 * b0
+        P = PowerSeries([0.0, 0.0, c0], order=order + 2)
+        for _ in range(30 + 3 * order):
+            upd = (P.shift_down(1) * (1.0 / uA) + A_ps ** 3).integ()
+            P = PowerSeries([0.0, 0.0, c0] + list(upd)[3:], order=order + 2)
+        B_ps = PowerSeries(P.shift_down(2).sqrt() * (1.0 / uA),
+                           parity="even")
+        assert _hex(s.B_series[0]) == _hex(B_ps)
 
 
 def test_coefficient_functions_bryant_salamon(bs):
@@ -525,6 +572,55 @@ def test_frame_matches_evaluators_bitwise(bs, lin):
                          for fns in (s.A, s.B, s.dA, s.dB))
             got = tuple(tuple(v.hex() for v in vals) for vals in s.frame(t))
             assert got == want
+
+
+def test_row_symmetric_and_asymmetric_paths_agree_bitwise(bs, monkeypatch):
+    # Bryant-Salamon and its structure file, each also rebuilt as
+    # asymmetric: two rows per band, the same bits on both paths, every
+    # slot a float; per row on the symmetric (asymmetric) path, 7 (21)
+    # Horner evaluations and no frame below coeff_cutoff, one frame and
+    # 3 (9) between the cutoffs, one frame and none above both
+    cf = coefficient_functions(bs)
+    assert cf.coeff_cutoff < 0.07 < cf.defl_cutoff < 0.5
+    loaded = structure_from_json(structure_to_json(bs, n_samples=401))
+    horner = PowerSeries.__call__
+    for base in (bs, loaded):
+        assert base.symmetric
+        paths = {}
+        for symmetric in (True, False):
+            s = StructureData(base.label, base.A, base.B, base.dA, base.dB,
+                              base.A_series, base.B_series, b0=base.b0,
+                              b2=base.b2, t_max=base.t_max,
+                              symmetric=symmetric)
+            frames, evals = [0], [0]
+
+            def frame(t, real=s.frame):
+                frames[0] += 1
+                return real(t)
+
+            def counted(self, t):
+                evals[0] += 1
+                return horner(self, t)
+
+            monkeypatch.setattr(s, "frame", frame)
+            cf = CoefficientFns(s)
+            rows = []
+            for t, band in ((0.01, "series"), (0.03, "series"),
+                            (0.07, "between"), (0.12, "between"),
+                            (0.5, "frame"), (3.0, "frame")):
+                monkeypatch.setattr(PowerSeries, "__call__", counted)
+                frames[0] = evals[0] = 0
+                row = cf.row(t)
+                monkeypatch.setattr(PowerSeries, "__call__", horner)
+                assert all(type(v) is float for slot in row for v in slot)
+                want = {"series": (0, 7), "between": (1, 3),
+                        "frame": (1, 0)}[band]
+                assert (frames[0], evals[0]) == (
+                    want[0], want[1] * (1 if symmetric else 3))
+                rows.append(tuple(tuple(v.hex() for v in slot)
+                                  for slot in row))
+            paths[symmetric] = rows
+        assert paths[True] == paths[False]
 
 
 class _PythonEq(float):

@@ -17,6 +17,10 @@ the committed BENCH_*.json files:
     machine   cpu count, the Python, numpy and scipy versions, numpy's
               BLAS build, OPENBLAS_CORETYPE and whether /proc/cpuinfo
               lists the avx2, fma and avx512f flags
+    trees     per side, the number of src/g2flow/*.py files and the
+              sha256 of their sha256sum listing, so the file names the
+              code it measured; `LC_ALL=C sha256sum src/g2flow/*.py |
+              sha256sum` in the tree prints the same digest
     commands  the run.py command line
     summary   per workload and metric: both sides' values in seed order,
               medians, quartiles, change_over_parent, how many pairs
@@ -34,6 +38,8 @@ the committed BENCH_*.json files:
 """
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -158,6 +164,20 @@ def machine():
             "note": "compare within this file only"}
 
 
+def tree_digest(tree):
+    """{"files", "sha256"} of tree's src/g2flow/*.py: the sha256 of the
+    sha256sum listing of the files in sorted order."""
+    names = sorted(os.path.basename(p) for p in glob.glob(
+        os.path.join(tree, "src", "g2flow", "*.py")))
+    listing = ""
+    for name in names:
+        with open(os.path.join(tree, "src", "g2flow", name), "rb") as fh:
+            listing += "%s  src/g2flow/%s\n" % (
+                hashlib.sha256(fh.read()).hexdigest(), name)
+    return {"files": len(names),
+            "sha256": hashlib.sha256(listing.encode()).hexdigest()}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_tree")
@@ -178,6 +198,7 @@ def main(argv=None):
                    "first on odd seeds) in one session, made with "
                    "tools/bench_pairs.py",
            "machine": machine(),
+           "trees": {side: tree_digest(tree) for side, tree in trees.items()},
            "commands": ["python3 perfbench/run.py --workload W --seed S "
                         "--seconds %g --trace 0" % args.seconds],
            "summary": {}, "runs": []}

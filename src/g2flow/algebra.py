@@ -71,7 +71,7 @@ class Su2Vec:
         return max(abs(float(a)) for a in self.x)
 
     @staticmethod
-    def basis(i, one=1):
+    def basis(i, one):
         """T_i for i in 1..3."""
         z = 0 * one
         x = [z, z, z]

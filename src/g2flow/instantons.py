@@ -473,17 +473,18 @@ def flat_pid(s, sign=1):
 
 
 def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
-    """Diagonal abelian connection fixed by its value at t0 in (0, t_max).
+    """Diagonal abelian connection fixed by its value at t0 in (1e-6, t_max).
 
     a_i^+(t) = a_i^+(t0) (t/t0)^2 exp(-int_{t0}^t q_i) and the raw
     companion branch a_i^-(t) = a_i^-(t0) (t0/t)^4 exp(-int_{t0}^t h_i),
     with q_i, h_i the regular parts of the abelian decay rates.  The six
     slots of f6 hold the connection coefficients themselves; they are
-    valid on [1e-6, t_max].
+    valid on [1e-6, t_max].  Below t0 the integrals solve forward in -t.
     """
+    lo, hi = 1e-6, s.t_max
     t0 = float(t0)
-    if not 0.0 < t0 < s.t_max:
-        raise ValueError("t0 must lie in (0, t_max)")
+    if not lo < t0 < hi:
+        raise ValueError("t0 must lie in (%g, t_max)" % lo)
     ap0 = tuple(float(x) for x in aplus_t0)
     am0 = tuple(float(x) for x in aminus_t0)
     for name, v in (("aplus_t0", ap0), ("aminus_t0", am0)):
@@ -495,12 +496,15 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
         _, _, a_plus, a_minus, _, _, _ = row(t)
         return [*a_plus, *a_minus]
 
-    lo, hi = 1e-6, s.t_max
-    up, down = (_dop853(rhs, (t0, end), np.zeros(6), 3e-13, 1e-15, (),
-                        "abelian rates").meta["interp"] for end in (hi, lo))
+    def reflected(t, y):            # the negated rates, in -t
+        return [-v for v in rhs(-t, y)]
+
+    up, down = (_dop853(f, span, np.zeros(6), 3e-13, 1e-15, (),
+                        "abelian rates").meta["interp"]
+                for f, span in ((rhs, (t0, hi)), (reflected, (-t0, -lo))))
 
     def f6(t):
-        iv = (up if t >= t0 else down)(t)
+        iv = up(t) if t >= t0 else down(-t)
         sc2, sc4 = (t / t0) ** 2, (t0 / t) ** 4
         out = np.empty(6)
         for i in range(3):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +39,9 @@ def dense_reader(rhs, ts, steps):
     the last (t, values) is one tuple set in one assignment, so no thread
     sees an empty slot.  A t outside [lo, hi (1 + 1e-9)] raises ValueError."""
     ts = [float(t) for t in ts]
-    ascending = ts[-1] >= ts[0]
-    if not ascending:
-        ts, steps = ts[::-1], steps[::-1]
     segments = list(steps)
     n = len(segments)
     lo, hi = ts[0], ts[-1] + 1e-9 * abs(ts[-1])
-    find = bisect_left if ascending else bisect_right
     last = (None, None)
 
     def read(t):
@@ -56,7 +52,7 @@ def dense_reader(rhs, ts, steps):
         if not lo <= t <= hi:
             raise ValueError("t=%g outside the solved span [%g, %g]"
                              % (t, ts[0], ts[-1]))
-        i = min(max(find(ts, t) - 1, 0), n - 1)
+        i = min(max(bisect_left(ts, t) - 1, 0), n - 1)
         seg = segments[i]
         if len(seg) > 3:
             seg = segments[i] = _segment(rhs, *seg)
@@ -371,7 +367,7 @@ def _segment(rhs, t, h, y, y_new, stages):
 
 def _checked(t_span, y0, rtol):
     """(t0, t1, y0 as an array) of a DOP853 solve; ValueError for an rtol
-    below RTOL_FLOOR, a non-finite or empty span or a bad y0."""
+    below RTOL_FLOOR, a non-finite span, t1 <= t0 or a bad y0."""
     if not rtol >= RTOL_FLOOR:
         raise ValueError("tol=%g is below %.3g, the finite-precision floor "
                          "of the integrator (100 machine epsilons)"
@@ -380,13 +376,13 @@ def _checked(t_span, y0, rtol):
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError("t_span must be finite, got (%g, %g)" % (t0, t1))
     y = np.asarray(y0, dtype=float)
-    if not (t0 != t1 and y.ndim == 1 and np.isfinite(y).all()):
-        raise ValueError("need t0 != t1 and a finite 1-d y0")
+    if not (t0 < t1 and y.ndim == 1 and np.isfinite(y).all()):
+        raise ValueError("need t0 < t1 and a finite 1-d y0")
     return t0, t1, y
 
 
 def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
-    """The package's one DOP853 solve: a port of scipy's solve_ivp(
+    """The package's one DOP853 solve (t0 < t1): a port of scipy's solve_ivp(
     method="DOP853", dense_output=True, events=...), with the same float
     operations in the same order.  rhs gets a float t and a list of floats
     y, an event's fn an ndarray y.  EventSpec events are recorded by time,
@@ -396,7 +392,7 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
     "steps" and "rejected".  A failed step controller, a non-finite
     f(t0, y0) or step size raise IntegrationError with the valid part."""
     t, t_bound, y = _checked(t_span, y0, rtol)
-    direction, n = math.copysign(1.0, t_bound - t), y.size
+    n = y.size
     K = np.empty((13, n))        # stage rows; row 12 is f at the step end
     KT = [K[:s].T for s in range(14)]
     ts, ys, steps, t_events = [t], [y], [], [[] for _ in events]
@@ -409,31 +405,26 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
         scale = atol + np.abs(y) * rtol
         d0, d1 = _norm(y / scale) / n ** 0.5, _norm(f / scale) / n ** 0.5
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = min(h0, abs(t_bound - t))
-        f1 = np.asarray(rhs(t + h0 * direction,
-                            (y + h0 * direction * f).tolist()), dtype=float)
+        h0 = min(h0, t_bound - t)
+        f1 = np.asarray(rhs(t + h0, (y + h0 * f).tolist()), dtype=float)
         d2 = _norm((f1 - f) / scale) / n ** 0.5 / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.125
-        h_abs = min(100 * h0, h1, abs(t_bound - t))
+        h_abs = min(100 * h0, h1, t_bound - t)
     else:
         status, message = -1, "f(t0, y0) is not finite"
     while status is None:
         if not math.isfinite(h_abs):
             status, message = -1, "the step size is not finite"
             break
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while h_abs >= min_step:
-            h = h_abs * direction
-            t_new = t + h
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
             K[0] = f
             for s, a, c in _RK_STAGES:
                 K[s] = rhs(t + c * h, (y + KT[s].dot(a) * h).tolist())
@@ -442,7 +433,7 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             e5 = _norm(KT[13].dot(_E5) / scale) ** 2
             e3 = _norm(KT[13].dot(_E3) / scale) ** 2
-            error_norm = (abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            error_norm = (h * e5 / math.sqrt((e5 + 0.01 * e3) * n)
                           if e5 or e3 else 0.0)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(
@@ -459,7 +450,7 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
         accepted += 1
         steps.append((t, h, y, y_new, K.copy()))
         t_old, t, y, f = t, t_new, y_new, f_new
-        if direction * (t - t_bound) >= 0:
+        if t == t_bound:
             status = 0
         if events:
             g_new = [float(ev.fn(t, y)) for ev in events]
@@ -473,7 +464,7 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
             hits = [(i, _brentq(lambda s, ev=events[i]: float(
                 ev.fn(s, np.array(sol(s)))), t_old, t)) for i in active]
             if any(events[i].terminal for i in active):
-                hits.sort(key=lambda e: e[1] if t > t_old else -e[1])
+                hits.sort(key=lambda e: e[1])
                 hits = hits[:1 + [events[i].terminal
                                   for i, _ in hits].index(True)]
                 status, t = 1, hits[-1][1]
@@ -502,7 +493,7 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
 
 
 def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
-    """Adaptive high-order integration with event recording.
+    """Adaptive high-order integration forward in t, with event recording.
 
     Events are EventSpec instances; terminal ones stop the run.  An
     event's fn is a margin: a value that is already non-positive at t0
@@ -544,9 +535,8 @@ def integrate_blowup(rhs, t_span, y0, tol, events, label, threshold):
     pre-fires at its start.  t, y, events, interp and meta read y; an
     IntegrationError carries the part of its phase, in its coordinate."""
     t, t_end, y = _checked(t_span, y0, tol)
-    if not (INVERT_AT < threshold < math.inf and t < t_end):
-        raise ValueError("need t0 < t1 and a finite threshold above %g"
-                         % INVERT_AT)
+    if not INVERT_AT < threshold < math.inf:
+        raise ValueError("need a finite threshold above %g" % INVERT_AT)
     y = y.tolist()
     inverted = max(map(abs, y)) >= INVERT_AT
     state, ts, ys, records, phases = (_inverse(y) if inverted else y,

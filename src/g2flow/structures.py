@@ -260,7 +260,7 @@ def make_linear_example(b0, t_max=1e6):
 # Symmetric structure from a user A_1 profile
 
 
-def make_su23_structure(A1, b0, t_max=None, label="su23"):
+def make_su23_structure(A1, b0, t_max=None):
     """Build B_1 = B_2 = B_3 from a symmetric A_1 profile and B_1(0) = b0.
 
     A1 is the tuple (A1, PowerSeries, dA1): the profile, its odd Taylor
@@ -336,7 +336,7 @@ def make_su23_structure(A1, b0, t_max=None, label="su23"):
 
     dB1 = _RegularFn(B_ps.deriv(), dB1_direct, COEFF_SERIES_CUTOFF, horizon)
 
-    return StructureData(label, (a1,) * 3, (B1,) * 3, (da1,) * 3,
+    return StructureData("su23", (a1,) * 3, (B1,) * 3, (da1,) * 3,
                          (dB1,) * 3, (PowerSeries(A_ps, parity="odd"),) * 3,
                          (PowerSeries(B_ps, parity="even"),) * 3,
                          b0=b0, b2=B_ps[2], t_max=horizon, symmetric=True)

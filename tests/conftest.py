@@ -1,3 +1,4 @@
+import importlib.util
 import os
 
 import numpy
@@ -20,6 +21,17 @@ def lin():
     return make_linear_example(1.0)
 
 
+def _openblas_core():
+    """openblas_core() of tools/bench_pairs.py: the OpenBLAS kernel that
+    runs, or None."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.openblas_core()
+
+
 @pytest.fixture
 def blas_note():
     """A function naming the BLAS of this run next to the one the golden
@@ -29,7 +41,9 @@ def blas_note():
     def note():
         blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
         return ("goldens captured on OpenBLAS 0.3.31 running its SkylakeX "
-                "kernel; this run's BLAS build: %s; OPENBLAS_CORETYPE=%s" % (
+                "kernel; this run's OpenBLAS kernel: %s, BLAS build: %s; "
+                "OPENBLAS_CORETYPE=%s" % (
+                    _openblas_core(),
                     blas.get("openblas configuration"),
                     os.environ.get("OPENBLAS_CORETYPE", "unset")))
     return note

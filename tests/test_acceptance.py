@@ -175,7 +175,7 @@ def test_09_bubbling_scaling(bs):
 
 
 def test_10_convergence_to_limit_member(bs):
-    rep = convergence_report(bs, (1.0, 10.0, 100.0), window=(1.0, 5.0))
+    rep = convergence_report(bs, (1.0, 10.0, 100.0))
     assert rep.passed
     d = [rep.metrics["sup_diff_x1=%g" % v] for v in (1.0, 10.0, 100.0)]
     assert d[0] > d[1] > d[2]
@@ -185,7 +185,7 @@ def test_10_convergence_to_limit_member(bs):
 def test_11_linear_example_closed_forms():
     ser = PowerSeries([0.0, 0.5], parity="odd")
     s = make_su23_structure(((lambda t: 0.5 * t), ser, (lambda t: 0.5)),
-                            1.0, t_max=12.0, label="su23-linear")
+                            1.0, t_max=12.0)
     for t in np.linspace(0.0, 5.0, 101):
         assert abs(s.B[0](t) ** 2 - (1.0 + t * t / 4.0)) <= 1e-8
     sol = theta_zero(s)

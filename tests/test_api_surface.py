@@ -13,7 +13,6 @@ import pkgutil
 import g2flow
 
 SETTABLE = {
-    ("algebra.Su2Vec.basis", "one"),
     ("cli.main", "argv"),
     ("instantons.abelian_connection", "aminus_t0"),
     ("instantons.flat_pid", "sign"),
@@ -35,11 +34,9 @@ SETTABLE = {
     ("singular_ivp.solve_singular", "tol"),
     ("structures.make_bryant_salamon", "r_max"),
     ("structures.make_linear_example", "t_max"),
-    ("structures.make_su23_structure", "label"),
     ("structures.make_su23_structure", "t_max"),
     ("structures.save_structure", "n_samples"),
     ("structures.structure_to_json", "n_samples"),
-    ("verify.convergence_report", "window"),
     ("verify.default_battery", "residual_threshold"),
     ("verify.oracle_report", "n"),
     ("verify.oracle_report", "seed"),

@@ -1,5 +1,10 @@
 import importlib.util
+import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
                      "bench_pairs.py")
@@ -83,6 +88,23 @@ def test_machine_records_blas_and_cpu_flags(monkeypatch):
     assert got["cpu_flags"] is None or (
         sorted(got["cpu_flags"]) == ["avx2", "avx512f", "fma"]
         and all(type(v) is bool for v in got["cpu_flags"].values()))
+
+
+def test_machine_records_the_openblas_kernel_that_runs():
+    # OpenBLAS picks its kernel when it is loaded, so the setting only
+    # shows in a fresh process; numpy's build string names the
+    # DYNAMIC_ARCH build whatever kernel runs
+    if bench_pairs.openblas_core() is None:
+        pytest.skip("numpy bundles no OpenBLAS that names its kernel")
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import bench_pairs; print(json.dumps(bench_pairs.machine()))")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    out = subprocess.run([sys.executable, "-c", code,
+                          os.path.dirname(_PATH)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    got = json.loads(out)
+    assert got["openblas_core"] == "Haswell"
+    assert got["OPENBLAS_CORETYPE"] == "Haswell"
 
 
 def test_tree_digest_names_the_src_files(tmp_path):

@@ -193,6 +193,10 @@ BAD_INPUT = {
                                "6.0"],
                               {"structure": {"kind": "linear",
                                              "t_max": 5.0}}, "t0"),
+    # at t0 = 1e-6 the downward solve had an empty span, which the
+    # stepper refused with "need t0 != t1"
+    "abelian-t0-at-lowest-t": (["solve", "--family", "abelian", "--t0",
+                                "1e-6"], None, "t0 must lie in (1e-06"),
     "threshold-not-a-number": (["verify"], {"verify": {"residual": "abc"}},
                                "verify.residual"),
     # the integrator rejects an rtol below 100 machine epsilons, where

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from g2flow.instantons import (_stencil_nodes, abelian_connection,
+from g2flow.instantons import (_eq_data, _stencil_nodes, abelian_connection,
                                connection_at, flat_pid, p1_ivp, pid_ivp,
                                residual_pointwise, solution_to_csv,
                                su23_pid_ivp, theta_x1, theta_y0, theta_zero)
@@ -39,6 +39,41 @@ def test_theta_x1_matches_closed_form(bs):
         for t in np.geomspace(1e-2, 10.0, 25):
             want = closed_form_product(bs, x1, t)
             assert A1x(t) == pytest.approx(want, rel=1e-9)
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+# (E, Q) in closed form.  On a symmetric structure
+# phi_1 = A'/A + A/B^2 - 1/A + 1/t, E = t exp(-int_0^t phi_1) and Q' = E.
+# Bryant-Salamon: with r = sqrt(3) B_1, A_1 = (r/3) sqrt(1 - r^-3) and
+# dt = dr/sqrt(1 - r^-3), A/B^2 dt = dr/r and dt/A = 3 r^2 dr/(r^3 - 1),
+# so int_0^t phi_1 = log(9 A r t / (2 (r^3 - 1))) (the argument -> 1 as
+# t -> 0, where r - 1 ~ 3 t^2/4), E = (2/3) sqrt((r^3 - 1)/r) and, as
+# E dt = (2/3) r dr, Q = (r^2 - 1)/3.  Linear: phi_1 = (t/2)/(b0^2 + t^2/4),
+# so E = t b0^2/(b0^2 + t^2/4) and Q = 2 b0^2 log1p(t^2/(4 b0^2)).
+@pytest.mark.parametrize("r_max", [5.0, 60.0, 3000.0])
+def test_eq_and_theta_x1_closed_form_bryant_salamon(r_max):
+    s = make_bryant_salamon(r_max)
+    E, Q, _, _ = _eq_data(s)
+    members = {x1: theta_x1(s, x1).extras["x"] for x1 in (0.5, 1.0, 100.0)}
+    for t in np.geomspace(0.05, s.t_max, 120):
+        r = math.sqrt(3.0) * s.B[0](t)
+        e, q = (2.0 / 3.0) * math.sqrt((r ** 3 - 1.0) / r), (r * r - 1) / 3
+        assert _rel(E(t), e) <= 1e-11 and _rel(Q(t), q) <= 1e-11, t
+        for x1, x in members.items():
+            assert _rel(x(t), x1 * e / (1.0 + x1 * q)) <= 1e-11, (x1, t)
+
+
+@pytest.mark.parametrize("b0", [0.5, 1.0, 2.0])
+def test_eq_closed_form_linear(b0):
+    E, Q, _, _ = _eq_data(make_linear_example(b0, t_max=1e3))
+    for t in np.geomspace(1e-3, 1e3, 120):
+        c = b0 * b0 + t * t / 4.0
+        assert _rel(E(t), t * b0 * b0 / c) <= 1e-11, t
+        assert _rel(Q(t), 2.0 * b0 * b0 * math.log1p(
+            t * t / (4.0 * b0 * b0))) <= 1e-11, t
 
 
 def test_theta_x1_zero_is_zero_connection(bs):
@@ -329,11 +364,52 @@ def test_abelian_decay_and_bundle(bs):
         assert slope == pytest.approx(target, abs=0.02)
 
 
+# The abelian members in closed form, read on both sides of t0, so on
+# the upward and on the reflected downward solve.  a_i^+ = c t^2
+# exp(-int q_i) with q_i = 2/t - 1/A + A/B^2 on a symmetric structure,
+# so (log a_i^+)' = 1/A - A/B^2 = (log A_1 E)' (E'/E = 1/t - phi_1):
+# a_i^+ / (A_1 E) is constant.  On the linear example that is
+# a_i^+ ~ t^2/(b0^2 + t^2/4), and the a^- rate vanishes: a_i^- ~ t^-4.
+ABELIAN_T0, APLUS, AMINUS = 1.3, (0.3, 0.5, 0.7), (0.2, 0.4, 0.6)
+
+
+def test_abelian_closed_form_linear():
+    s = make_linear_example(1.0, t_max=1e3)
+    sol = abelian_connection(s, ABELIAN_T0, APLUS, AMINUS)
+
+    def shape(t):
+        return t * t / (1.0 + t * t / 4.0)
+
+    for t in np.geomspace(1e-5, 1e3, 120):
+        f = sol.coefficients(t)
+        for i in range(3):
+            assert _rel(f[i], APLUS[i] * shape(t) / shape(ABELIAN_T0)) \
+                <= 1e-11, t
+            assert _rel(f[3 + i], AMINUS[i] * (ABELIAN_T0 / t) ** 4) \
+                <= 1e-11, t
+
+
+def test_abelian_over_a1_e_is_constant_bryant_salamon():
+    s = make_bryant_salamon(60.0)
+    E = _eq_data(s)[0]
+    sol = abelian_connection(s, ABELIAN_T0, APLUS)
+
+    def a1e(t):
+        return s.A[0](t) * E(t)
+
+    for t in np.geomspace(1e-5, s.t_max, 120):
+        f = sol.coefficients(t)
+        for i in range(3):
+            assert _rel(f[i] / a1e(t), APLUS[i] / a1e(ABELIAN_T0)) <= 1e-11, t
+
+
 def test_abelian_t0_lies_inside_the_profile_range(lin5):
     # t0 = t_max left an empty upward solve, which dense_reader refused
-    # with a TypeError
-    for t0 in (5.0, 6.0, 0.0, NAN):
-        with pytest.raises(ValueError, match=r"t0 must lie in \(0, t_max\)"):
+    # with a TypeError; t0 = 1e-6 left an empty downward one, and
+    # t0 = 5e-7 anchored the member below its validity interval
+    for t0 in (5.0, 6.0, 0.0, NAN, 1e-6, 5e-7):
+        with pytest.raises(ValueError,
+                           match=r"t0 must lie in \(1e-06, t_max\)"):
             abelian_connection(lin5, t0, (1.0, 0.0, 0.0))
     sol = abelian_connection(lin5, 4.9, (1.0, 0.0, 0.0))
     assert np.all(np.isfinite(sol.coefficients(5.0)))

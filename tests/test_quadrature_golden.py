@@ -79,6 +79,7 @@ def test_golden_mismatch_names_the_blas_kernels(blas_note, monkeypatch):
     monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
     note = blas_note()
     assert "SkylakeX" in note and "OPENBLAS_CORETYPE=Haswell" in note
+    assert "this run's OpenBLAS kernel: " in note
     assert str(config.get("openblas configuration")) in note
     monkeypatch.delenv("OPENBLAS_CORETYPE")
     assert "OPENBLAS_CORETYPE=unset" in blas_note()

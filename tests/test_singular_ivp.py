@@ -171,6 +171,14 @@ def test_integrate_blowup_rejects_bad_threshold(threshold):
                          "", threshold)
 
 
+@pytest.mark.parametrize("span", [(1.0, 0.0), (1.0, 1.0)])
+def test_solves_run_forward_only(span):
+    with pytest.raises(ValueError, match="need t0 < t1"):
+        integrate(lambda t, y: [y[0]], span, [1.0])
+    with pytest.raises(ValueError, match="need t0 < t1"):
+        _dop853(lambda t, y: [y[0]], span, [1.0], 1e-10, 1e-13, (), "")
+
+
 def test_integrate_blowup_runs_forward_only():
     with pytest.raises(ValueError, match="t0 < t1"):
         integrate_blowup(lambda t, y: [y[0]], (1.0, 0.0), [1.0], 1e-10, [],
@@ -220,7 +228,8 @@ def _oscillator(t, y):
     return [y[1], -y[0]]
 
 
-# id: (rhs, t_span, y0, rtol, atol, events, solve_ivp status)
+# id: (rhs, t_span, y0, rtol, atol, events, solve_ivp status) of the
+# solve_ivp problem; _dop853 runs it forward (see _forward)
 DOP853_CASES = {
     "1d-ascending": (_radial_rate, (0.0, 20.0), [0.0], 1e-13, 1e-14, [], 0),
     "6d-descending": (_coupled_rate, (3.0, 0.01), np.zeros(6), 1e-12,
@@ -238,6 +247,18 @@ DOP853_CASES = {
 }
 
 
+def _forward(rhs, span):
+    """(field, span, sign) of the solve of rhs over span forward in time:
+    a descending span becomes the reflected field -rhs(-s, y) over the
+    negated span, whose every step is the exact negation of the
+    descending one, so its nodes and dense output at s are the descending
+    solve's at t = sign s, bit for bit."""
+    t0, t1 = span
+    if t0 < t1:
+        return rhs, span, 1.0
+    return (lambda s, y: [-v for v in rhs(-s, y)]), (-t0, -t1), -1.0
+
+
 def _scipy_event(ev):
     def g(t, y):
         return float(ev.fn(t, y))
@@ -248,21 +269,23 @@ def _scipy_event(ev):
 @pytest.mark.parametrize("case", sorted(DOP853_CASES))
 def test_dense_reader_bitwise_equal_to_scipy(case):
     # the stepper is a port of solve_ivp(method="DOP853"): the same t, y,
-    # nfev, events, status message and dense output, bit for bit
+    # nfev, events, status message and dense output, bit for bit; a
+    # descending solve_ivp is matched by the forward solve in s = -t
     rhs, span, y0, rtol, atol, events, status = DOP853_CASES[case]
     sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol, atol=atol,
                     dense_output=True,
                     events=[_scipy_event(ev) for ev in events] or None)
     assert sol.status == status
+    field, fspan, sign = _forward(rhs, span)
     if status == -1:
         with pytest.raises(IntegrationError) as exc:
-            _dop853(rhs, span, y0, rtol, atol, events, case)
+            _dop853(field, fspan, y0, rtol, atol, events, case)
         assert str(exc.value) == "integration of %r failed: %s" % (
             case, sol.message)
         traj = exc.value.trajectory
     else:
-        traj = _dop853(rhs, span, y0, rtol, atol, events, case)
-    assert traj.t.tobytes() == sol.t.tobytes()
+        traj = _dop853(field, fspan, y0, rtol, atol, events, case)
+    assert (sign * traj.t).tobytes() == sol.t.tobytes()
     assert traj.y.tobytes() == sol.y.tobytes()
     steps, rejected = traj.meta["steps"], traj.meta["rejected"]
     assert steps == sol.t.size - 1 == sol.sol.n_segments
@@ -271,8 +294,9 @@ def test_dense_reader_bitwise_equal_to_scipy(case):
     # accepted step run on the first read of its segment
     assert traj.meta["nfev"] + 3 * steps == sol.nfev
     assert traj.events == sorted(
-        ((ev.kind, float(te)) for ev, tes in zip(events, sol.t_events or ())
-         for te in tes), key=lambda e: e[1])
+        ((ev.kind, sign * float(te)) for ev, tes
+         in zip(events, sol.t_events or ()) for te in tes),
+        key=lambda e: e[1])
     assert len(traj.events) == {"terminal-event": 1,
                                 "nonterminal-event": 4}.get(case, 0)
     read = traj.meta["interp"]
@@ -282,7 +306,7 @@ def test_dense_reader_bitwise_equal_to_scipy(case):
     ts = [float(t) for t in list(sol.t) + [lo, hi]
           + list(rng.uniform(lo, hi, 300))]
     for t in ts + ts[::-1]:
-        got = read(t)
+        got = read(sign * t)
         assert all(type(v) is float for v in got)
         assert [v.hex() for v in got] == [v.hex()
                                           for v in sol.sol(t).tolist()]
@@ -292,14 +316,15 @@ def test_dense_reader_bitwise_equal_to_scipy(case):
 def test_dense_reader_rejects_t_outside_solved_span(span):
     sol = solve_ivp(_coupled_rate, span, np.zeros(6), method="DOP853",
                     rtol=1e-12, atol=1e-15, dense_output=True)
-    read = _dop853(_coupled_rate, span, np.zeros(6), 1e-12, 1e-15, (),
+    field, (lo, hi), sign = _forward(_coupled_rate, span)
+    read = _dop853(field, (lo, hi), np.zeros(6), 1e-12, 1e-15, (),
                    "coupled").meta["interp"]
-    lo, hi = sorted(span)
     # the top end has the 1e-9 relative slack of the profile evaluators
-    for t in (lo, hi, hi * (1 + 0.5e-9)):
+    for t in (lo, hi, hi + 0.5e-9 * abs(hi)):
         assert [v.hex() for v in read(t)] == [
-            v.hex() for v in sol.sol(t).tolist()]
-    for t in (lo - 1e-12, -1.0, hi * (1 + 2e-9), 100.0, math.nan):
+            v.hex() for v in sol.sol(sign * t).tolist()]
+    for t in (lo - 1e-12, lo - 1.0, hi + 2e-9 * abs(hi), hi + 100.0,
+              math.nan):
         with pytest.raises(ValueError, match="outside the solved span"):
             read(t)
 
@@ -307,11 +332,12 @@ def test_dense_reader_rejects_t_outside_solved_span(span):
 def _counted_solve(case):
     """(trajectory, [rhs calls so far]) of a DOP853_CASES solve."""
     rhs, span, y0, rtol, atol, events, _ = DOP853_CASES[case]
+    field, span, _ = _forward(rhs, span)
     calls = [0]
 
     def counted(t, y):
         calls[0] += 1
-        return rhs(t, y)
+        return field(t, y)
 
     try:
         return _dop853(counted, span, y0, rtol, atol, events, case), calls
@@ -357,10 +383,11 @@ def test_fresh_segments_read_thread_safe(case):
     # are still being built, of a never-read trajectory; a second solve,
     # read in sequence, is the reference
     rhs, span, y0, rtol, atol, events, _ = DOP853_CASES[case]
-    fresh = _dop853(rhs, span, y0, rtol, atol, events, case).meta["interp"]
-    serial = _dop853(rhs, span, y0, rtol, atol, events, case).meta["interp"]
+    field, span, _ = _forward(rhs, span)
+    fresh = _dop853(field, span, y0, rtol, atol, events, case).meta["interp"]
+    serial = _dop853(field, span, y0, rtol, atol, events, case).meta["interp"]
     rng = np.random.default_rng(5)
-    ts = [float(t) for t in rng.uniform(*sorted(span[:2]), 400)]
+    ts = [float(t) for t in rng.uniform(*span, 400)]
     want = {t: [v.hex() for v in serial(t)] for t in ts}
     orders = [[ts[k] for k in rng.permutation(len(ts))]] * 4
     errors, wrong = [], []

@@ -10,6 +10,7 @@ from g2flow.algebra import (_direct_parts, _lemma2_parts,
 from g2flow.instantons import (InstantonSolution, abelian_connection,
                                flat_pid, theta_x1, theta_y0, theta_zero)
 from g2flow.singular_ivp import Trajectory
+from g2flow.structures import make_linear_example
 from g2flow.verify import (Report, _integer_numerators, bubbling_report,
                            convergence_report, curvature_boundary_report,
                            default_battery, invariance_report, oracle_report,
@@ -163,6 +164,9 @@ def test_convergence_report_shape(bs):
     assert rep.metrics["c1"] > 0 and rep.metrics["c2"] > 0
     with pytest.raises(ValueError):
         convergence_report(bs, (10.0, 1.0))
+    short = make_linear_example(1.0, t_max=4.0)
+    with pytest.raises(ValueError, match="outside the structure range"):
+        convergence_report(short, (1.0, 10.0))
 
 
 def test_curvature_boundary_report(bs):

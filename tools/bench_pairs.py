@@ -15,8 +15,9 @@ the committed BENCH_*.json files:
 
     what      what was compared and how
     machine   cpu count, the Python, numpy and scipy versions, numpy's
-              BLAS build, OPENBLAS_CORETYPE and whether /proc/cpuinfo
-              lists the avx2, fma and avx512f flags
+              BLAS build, the OpenBLAS kernel that runs, OPENBLAS_CORETYPE
+              and whether /proc/cpuinfo lists the avx2, fma and avx512f
+              flags
     trees     per side, the number of src/g2flow/*.py files and the
               sha256 of their sha256sum listing, so the file names the
               code it measured; `LC_ALL=C sha256sum src/g2flow/*.py |
@@ -149,6 +150,24 @@ def cpu_flags():
     return {name: name in flags for name in ("avx2", "fma", "avx512f")}
 
 
+def openblas_core():
+    """The kernel the OpenBLAS bundled with numpy selected when it was
+    loaded (it reads OPENBLAS_CORETYPE then), e.g. "SkylakeX"; None where
+    numpy bundles no such library.  numpy's build string names the
+    DYNAMIC_ARCH build, not this kernel."""
+    import ctypes
+    import numpy
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        corename = getattr(ctypes.CDLL(path),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def machine():
     """The host facts that decide timings and, through the BLAS kernel,
     the last bits of the stepper's stage sums."""
@@ -159,6 +178,7 @@ def machine():
             "numpy": numpy.__version__, "scipy": scipy.__version__,
             "blas": {key: blas.get(key) for key in (
                 "name", "version", "openblas configuration")},
+            "openblas_core": openblas_core(),
             "OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"),
             "cpu_flags": cpu_flags(),
             "note": "compare within this file only"}

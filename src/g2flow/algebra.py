@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 BASIS_NAMES = ("dt", "e1+", "e2+", "e3+", "e1-", "e2-", "e3-")
@@ -25,10 +26,12 @@ class Su2Vec:
 
     __slots__ = ("x",)
 
-    def __init__(self, x1, x2=None, x3=None):
-        if x2 is None:
-            x1, x2, x3 = x1
-        self.x = (x1, x2, x3)
+    def __init__(self, *x):
+        if len(x) == 1 and isinstance(x[0], (tuple, list, Su2Vec)):
+            x = tuple(x[0])
+        if len(x) != 3:
+            raise ValueError("Su2Vec takes one triple or three components")
+        self.x = x
 
     def __iter__(self):
         return iter(self.x)
@@ -40,24 +43,33 @@ class Su2Vec:
         return "Su2Vec(%r, %r, %r)" % self.x
 
     def __eq__(self, other):
+        # not tuple ==: its identity shortcut makes a NaN equal itself
         if not isinstance(other, Su2Vec):
             return NotImplemented
-        return all(a == b for a, b in zip(self.x, other.x))
+        a1, a2, a3 = self.x
+        b1, b2, b3 = other.x
+        return a1 == b1 and a2 == b2 and a3 == b3
 
     def __hash__(self):
         return hash(self.x)
 
     def __add__(self, other):
-        return Su2Vec(*(a + b for a, b in zip(self.x, other.x)))
+        a1, a2, a3 = self.x
+        b1, b2, b3 = other.x
+        return Su2Vec(a1 + b1, a2 + b2, a3 + b3)
 
     def __sub__(self, other):
-        return Su2Vec(*(a - b for a, b in zip(self.x, other.x)))
+        a1, a2, a3 = self.x
+        b1, b2, b3 = other.x
+        return Su2Vec(a1 - b1, a2 - b2, a3 - b3)
 
     def __neg__(self):
-        return Su2Vec(*(-a for a in self.x))
+        a1, a2, a3 = self.x
+        return Su2Vec(-a1, -a2, -a3)
 
     def __mul__(self, s):
-        return Su2Vec(*(a * s for a in self.x))
+        a1, a2, a3 = self.x
+        return Su2Vec(a1 * s, a2 * s, a3 * s)
 
     __rmul__ = __mul__
 
@@ -65,7 +77,8 @@ class Su2Vec:
         return Su2Vec(*(a / s for a in self.x))
 
     def is_zero(self):
-        return all(a == 0 for a in self.x)
+        a1, a2, a3 = self.x
+        return a1 == 0 and a2 == 0 and a3 == 0
 
     def norm_inf(self):
         return max(abs(float(a)) for a in self.x)
@@ -73,10 +86,10 @@ class Su2Vec:
     @staticmethod
     def basis(i, one):
         """T_i for i in 1..3."""
+        if i not in (1, 2, 3):
+            raise ValueError("basis index must be 1, 2 or 3")
         z = 0 * one
-        x = [z, z, z]
-        x[i - 1] = one
-        return Su2Vec(*x)
+        return Su2Vec(*(one if k == i else z for k in (1, 2, 3)))
 
 
 def bracket(u, v):
@@ -90,6 +103,7 @@ def bracket(u, v):
     )
 
 
+@cache
 def _sort_sign(indices):
     """Canonically sort a covector index tuple.
 
@@ -128,13 +142,12 @@ class LieForm:
         if valid is None:
             raise ValueError("degree out of range")
         self.degree = degree
-        clean = {}
-        for idx, vec in (coeffs or {}).items():
-            if idx not in valid:
-                raise ValueError("bad index %r for degree %d" % (idx, degree))
-            if not vec.is_zero():
-                clean[idx] = clean[idx] + vec if idx in clean else vec
-        self.coeffs = clean
+        coeffs = coeffs or {}
+        if not valid.issuperset(coeffs):
+            bad = next(idx for idx in coeffs if idx not in valid)
+            raise ValueError("bad index %r for degree %d" % (bad, degree))
+        self.coeffs = {idx: vec for idx, vec in coeffs.items()
+                       if not vec.is_zero()}
 
     def __repr__(self):
         return "LieForm(degree=%d, terms=%d)" % (self.degree, len(self.coeffs))
@@ -165,6 +178,10 @@ class LieForm:
 
     def coefficient(self, *indices):
         """Coefficient of e^{i1} ^ ... ^ e^{ip}, any index order."""
+        if len(indices) != self.degree or \
+                not all(i in range(7) for i in indices):
+            raise ValueError("need %d indices in 0..6, got %r"
+                             % (self.degree, indices))
         srt = _sort_sign(indices)
         if srt is None:
             raise ValueError("repeated index")
@@ -276,7 +293,7 @@ def _lemma2_parts(conn):
 
     def put(out, ia, ib, vec):
         idx, sign = _sort_sign((ia, ib))
-        out[idx] = sign * vec
+        out[idx] = vec if sign > 0 else -vec
 
     for i, j, k in CYCLIC:
         put(quad, i, i + 3, bracket(ap[i - 1], am[i - 1]))

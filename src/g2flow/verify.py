@@ -434,6 +434,8 @@ def oracle_report(n=1000, seed=0):
     at a, and together they give curvature_direct(a) ==
     curvature_lemma2(a).
     """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     rng = random.Random(seed)
     bad = 0
     for _ in range(n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -31,6 +32,30 @@ def test_oracle_report_exact():
     assert rep.metrics["mismatches"] == 0.0
     assert rep.metrics["n_checked"] == 50.0
     assert rep.metrics["flat_zero"] == 1.0
+
+
+@pytest.mark.parametrize("n", [0, -5, 2.5])
+def test_oracle_report_needs_at_least_one_draw(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        oracle_report(n=n)
+
+
+def test_oracle_report_battery_size_is_exact():
+    rep = oracle_report(n=200)
+    assert rep.passed
+    assert rep.metrics == {"n_checked": 200.0, "mismatches": 0.0,
+                           "flat_zero": 1.0}
+
+
+def test_oracle_draws_are_unchanged():
+    # sha256 of the repr of the battery's 200 integer-numerator draws,
+    # as drawn before the tuple arithmetic of Su2Vec: a faster draw must
+    # not change what the oracle checks
+    rng = random.Random(0)
+    draws = [_integer_numerators(random_rational_connection(rng))
+             for _ in range(200)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+        "73758f17052ba42bbe8fa6b7639a5ecad7d13adb52bb779afa9fb3ea9b43a548")
 
 
 def test_integer_numerators_scale_the_route_parts():

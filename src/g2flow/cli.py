@@ -28,9 +28,9 @@ from ._series import PowerSeries
 from .instantons import (abelian_connection, flat_pid, residual_pointwise,
                          solution_to_csv, theta_x1, theta_y0, theta_zero)
 from .singular_ivp import RTOL_FLOOR, IntegrationError, PreconditionError
-from .structures import (coefficient_functions, load_structure,
-                         make_bryant_salamon, make_linear_example,
-                         make_su23_structure, save_structure)
+from .structures import (load_structure, make_bryant_salamon,
+                         make_linear_example, make_su23_structure,
+                         save_structure)
 from .verify import (RESIDUAL_THRESHOLD, default_battery, report_to_json,
                      reports_to_csv)
 
@@ -378,15 +378,9 @@ def cmd_scan(cfg, out):
     if param is None:
         raise ConfigError("no scan parameter for family %r" % block["kind"])
     values = _scan_values(block, cfg["outputs"]["grid"])
-    try:
-        workers = int(os.environ.get("G2FLOW_THREADS", "0") or "0")
-    except ValueError:
-        raise ConfigError("G2FLOW_THREADS must be an integer")
-    if workers < 1:
-        workers = min(4, os.cpu_count() or 1)
     s = build_structure(cfg["structure"])
-    coefficient_functions(s)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # members hold the GIL: one worker; perfbench/tracing.py patches the pool
+    with ThreadPoolExecutor(max_workers=1) as pool:
         rows = list(pool.map(
             lambda v: _scan_point(s, block, solver, param, v), values))
     spath = out.path("scan.csv")

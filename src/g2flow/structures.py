@@ -532,9 +532,11 @@ def coefficient_functions(s):
 def structure_to_json(s, n_samples=1201):
     """Serializable document {label, b0, b2, a3, a5, samples, series,
     t_max} on [0, min(t_max, 20)]; samples carry the profile values and
-    their derivatives."""
+    their derivatives; n_samples is an integer >= 4, the loader's least."""
+    if not isinstance(n_samples, int) or n_samples < 4:
+        raise ValueError("n_samples must be an integer >= 4")
     hi = min(s.t_max, 20.0)
-    ts = np.linspace(0.0, hi, int(n_samples))
+    ts = np.linspace(0.0, hi, n_samples)
 
     def table(fns):
         return [[float(fns[i](float(t))) for t in ts] for i in range(3)]
@@ -663,9 +665,9 @@ def structure_from_json(doc):
 
 
 def save_structure(s, path, n_samples=1201):
+    doc = structure_to_json(s, n_samples)
     with open(path, "w", newline="\n") as fh:
-        json.dump(structure_to_json(s, n_samples), fh, indent=1,
-                  sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

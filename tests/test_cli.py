@@ -76,65 +76,59 @@ def test_config_unknown_keys_rejected(tmp_path):
 
 NAN, INF = float("nan"), float("inf")
 
-# id: (argv, G2FLOW_THREADS or None, library call that must raise or None)
+# id: (argv, library call that must raise or None)
 NONFINITE = {
-    "theta-x1-nan": (["solve", "--family", "theta-x1", "--x1", "nan"], None,
+    "theta-x1-nan": (["solve", "--family", "theta-x1", "--x1", "nan"],
                      lambda lin: theta_x1(lin, NAN)),
-    "theta-x1-inf": (["solve", "--family", "theta-x1", "--x1", "inf"], None,
+    "theta-x1-inf": (["solve", "--family", "theta-x1", "--x1", "inf"],
                      lambda lin: theta_x1(lin, INF)),
-    "bs-r-max-nan": (["structure", "--r-max", "nan"], None,
+    "bs-r-max-nan": (["structure", "--r-max", "nan"],
                      lambda lin: make_bryant_salamon(NAN)),
-    "bs-r-max-inf": (["structure", "--r-max", "inf"], None,
+    "bs-r-max-inf": (["structure", "--r-max", "inf"],
                      lambda lin: make_bryant_salamon(INF)),
-    "linear-b0-nan": (["structure", "--kind", "linear", "--b0", "nan"], None,
+    "linear-b0-nan": (["structure", "--kind", "linear", "--b0", "nan"],
                       lambda lin: make_linear_example(NAN)),
     "linear-t-max-nan": (["structure", "--kind", "linear", "--t-max", "nan"],
-                         None, lambda lin: make_linear_example(1.0, NAN)),
-    "su23-b0-nan": (["structure", "--kind", "su23", "--b0", "nan"], None,
+                         lambda lin: make_linear_example(1.0, NAN)),
+    "su23-b0-nan": (["structure", "--kind", "su23", "--b0", "nan"],
                     lambda lin: make_su23_structure(
                         (lin.A[0], lin.A_series[0], lin.dA[0]), NAN)),
     "abelian-aplus-nan": (["solve", "--family", "abelian", "--aplus",
-                           "nan,0,0"], None,
+                           "nan,0,0"],
                           lambda lin: abelian_connection(lin, 1.0,
                                                          (NAN, 0, 0))),
     "abelian-aminus-inf": (["solve", "--family", "abelian", "--aminus",
-                            "0,inf,0"], None,
+                            "0,inf,0"],
                            lambda lin: abelian_connection(
                                lin, 1.0, (1, 0, 0), (0, INF, 0))),
-    "tol-inf": (["solve", "--family", "theta-y0", "--tol", "inf"], None,
-                None),
-    "eps-nan": (["solve", "--family", "theta-y0", "--eps", "nan"], None,
-                None),
-    "threads-not-int": (["scan", "--family", "theta-x1", "--values", "1"],
-                        "abc", None),
+    "tol-inf": (["solve", "--family", "theta-y0", "--tol", "inf"], None),
+    "eps-nan": (["solve", "--family", "theta-y0", "--eps", "nan"], None),
     "theta-y0-y0-nan": (["solve", "--family", "theta-y0", "--y0", "nan"],
-                        None, lambda lin: theta_y0(lin, NAN)),
+                        lambda lin: theta_y0(lin, NAN)),
     "theta-y0-y0-inf": (["solve", "--family", "theta-y0", "--y0", "inf"],
-                        None, lambda lin: theta_y0(lin, INF)),
+                        lambda lin: theta_y0(lin, INF)),
     "theta-y0-eps-inf": (["solve", "--family", "theta-y0", "--eps", "inf"],
-                         None, lambda lin: theta_y0(lin, 0.5, eps=INF)),
+                         lambda lin: theta_y0(lin, 0.5, eps=INF)),
     "theta-y0-eps-zero": (["solve", "--family", "theta-y0", "--eps", "0"],
-                          None, lambda lin: theta_y0(lin, 0.5, eps=0.0)),
+                          lambda lin: theta_y0(lin, 0.5, eps=0.0)),
     "theta-y0-tol-inf": (["solve", "--family", "theta-y0", "--y0", "0.5",
-                          "--tol", "inf"], None,
+                          "--tol", "inf"],
                          lambda lin: theta_y0(lin, 0.5, tol=INF)),
     "theta-y0-tol-negative": (["solve", "--family", "theta-y0", "--tol",
-                               "-1"], None,
+                               "-1"],
                               lambda lin: theta_y0(lin, 0.5, tol=-1.0)),
     "theta-y0-tol-below-floor": (["solve", "--family", "theta-y0", "--tol",
-                                  "1e-30"], None,
+                                  "1e-30"],
                                  lambda lin: theta_y0(lin, 0.5, tol=1e-30)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NONFINITE))
-def test_rejects_nonfinite(case, lin, tmp_path, monkeypatch):
-    argv, threads, library_call = NONFINITE[case]
+def test_rejects_nonfinite(case, lin, tmp_path):
+    argv, library_call = NONFINITE[case]
     if library_call is not None:
         with pytest.raises(ValueError, match="finite"):
             library_call(lin)
-    if threads is not None:
-        monkeypatch.setenv("G2FLOW_THREADS", threads)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []
 
@@ -210,9 +204,8 @@ BAD_INPUT = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
-def test_bad_input_exits_2(case, tmp_path, monkeypatch, capsys):
+def test_bad_input_exits_2(case, tmp_path, capsys):
     argv, config, key = BAD_INPUT[case]
-    monkeypatch.setenv("G2FLOW_THREADS", "2")
     argv = list(argv)
     if config is not None:
         path = tmp_path / "config.json"
@@ -426,16 +419,21 @@ def test_scan_empty_values_config_error(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-def test_scan_thread_count_invariance(tmp_path, monkeypatch):
-    outs = []
-    for n in ("1", "3"):
-        d = tmp_path / ("w" + n)
-        d.mkdir()
-        monkeypatch.setenv("G2FLOW_THREADS", n)
-        assert main(["scan", "--family", "theta-y0", "--lo", "0.1",
-                     "--hi", "0.9", "--grid", "5", "--out", str(d)]) == 0
-        outs.append((d / "scan.csv").read_bytes())
-    assert outs[0] == outs[1]
+def test_scan_runs_on_one_worker(tmp_path, monkeypatch):
+    # the members hold the GIL, so the scan maps them on one worker and
+    # reads no thread-count setting from the environment
+    workers = []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    monkeypatch.setenv("G2FLOW_THREADS", "abc")
+    assert main(["scan", "--family", "theta-x1", "--values", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert workers == [1]
 
 
 def test_verify_linear_passes(tmp_path):

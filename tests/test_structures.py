@@ -287,6 +287,19 @@ def test_json_rejects_tampering(bs, tmp_path):
         assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", [3, 0, -5, 2.5, 4.0])
+def test_json_writer_needs_an_integer_count_of_four_or_more(lin, tmp_path, n):
+    # the loader needs at least four samples (four load: bs-4 in
+    # test_json_splines_match_cubic_spline); the writer checks first, so
+    # no document it writes fails to load and no empty file is left
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        structure_to_json(lin, n_samples=n)
+    path = tmp_path / "s.json"
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        save_structure(lin, path, n_samples=n)
+    assert not path.exists()
+
+
 def test_json_rejects_boundary_data_off_the_series(bs, lin, tmp_path):
     # b2, a3 and a5 repeat entries of the series block; documents that
     # structure_to_json writes agree with it exactly

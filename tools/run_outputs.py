@@ -3,11 +3,11 @@
 Usage: python3 tools/run_outputs.py OUTDIR
 
 Each command runs in its own directory OUTDIR/<name>, with this tree's
-src on PYTHONPATH and G2FLOW_THREADS=2.  Next to the files the command
-writes, stdout, stderr and the exit code are kept as stdout.txt,
-stderr.txt and exit_code.txt.  Every path a command sees is relative, so
-two trees give comparable directories: `diff -r OUT_A OUT_B` is the
-byte-identity check of a change that should move no number.
+src on PYTHONPATH.  Next to the files the command writes, stdout, stderr
+and the exit code are kept as stdout.txt, stderr.txt and exit_code.txt.
+Every path a command sees is relative, so two trees give comparable
+directories: `diff -r OUT_A OUT_B` is the byte-identity check of a
+change that should move no number.
 """
 
 import json
@@ -89,7 +89,7 @@ def main(argv):
         sys.exit("usage: run_outputs.py OUTDIR")
     outdir = pathlib.Path(argv[0]).resolve()
     outdir.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(TREE / "src"), G2FLOW_THREADS="2")
+    env = dict(os.environ, PYTHONPATH=str(TREE / "src"))
     for fname, doc in CONFIGS.items():
         (outdir / fname).write_text(json.dumps(doc, sort_keys=True) + "\n")
     for name, args in CLI:

@@ -164,8 +164,8 @@ def _known(doc, keys, where):
 def load_config(path):
     """The JSON config document at path, its keys checked against
     CONFIG_KEYS."""
-    if not os.path.exists(path):
-        raise ConfigError("config file %r does not exist" % path)
+    if not os.path.isfile(path):
+        raise ConfigError("config file %r is missing or not a file" % path)
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -228,8 +228,9 @@ def build_structure(block):
         path = block.get("path")
         if path is None:
             raise ConfigError("structure kind 'file' needs a path")
-        if not os.path.exists(path):
-            raise ConfigError("structure file %r does not exist" % path)
+        if not os.path.isfile(path):
+            raise ConfigError("structure file %r is missing or not a file"
+                              % path)
         return load_structure(path)
     except ConfigError:
         raise
@@ -261,8 +262,10 @@ class _Outputs:
 
     def __init__(self, dirpath):
         self.dir = dirpath or "."
-        if self.dir != "." and not os.path.isdir(self.dir):
+        try:
             os.makedirs(self.dir, exist_ok=True)
+        except OSError as exc:      # e.g. a file of that name
+            raise ConfigError("outputs.dir %r: %s" % (self.dir, exc.strerror))
         self.created = []
 
     def path(self, name, sidecar=False):

@@ -191,14 +191,12 @@ def series_handoff(ivp, eps, order):
 
 @dataclass
 class EventSpec:
-    """An event of integrate: fn(t, y) is a margin, positive where the
-    solve may run, and the event fires where it crosses zero in the given
-    direction (0: either).  A margin that is not positive at t0 fires
-    there whatever its direction."""
+    """An event of a DOP853 solve: fn(t, y) is a margin, positive where
+    the solve may run.  The event fires at t0 if the margin is not
+    positive there, and elsewhere where the margin changes sign."""
     kind: str
     fn: object
     terminal: bool = False
-    direction: float = 0.0
 
 
 class Trajectory:
@@ -381,26 +379,35 @@ def _checked(t_span, y0, rtol):
     return t0, t1, y
 
 
-def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
+def _dop853(rhs, t_span, y0, rtol, atol, events, label):
     """The package's one DOP853 solve (t0 < t1): a port of scipy's solve_ivp(
     method="DOP853", dense_output=True, events=...), with the same float
     operations in the same order.  rhs gets a float t and a list of floats
-    y, an event's fn an ndarray y.  EventSpec events are recorded by time,
-    after the (kind, t) of pre; a terminal one stops at its first root.
-    meta holds "interp" (the dense_reader of the step records) and the
-    counts "nfev" (stepping calls only: scipy's less 3 per accepted step),
-    "steps" and "rejected".  A failed step controller, a non-finite
-    f(t0, y0) or step size raise IntegrationError with the valid part."""
+    y, an event's fn an ndarray y.  An EventSpec margin fires where it
+    changes sign, as a solve_ivp event of either sign does, and, the one
+    departure from solve_ivp, at t0 if it is not positive there; events
+    are recorded by time, and a terminal one stops the solve at its first
+    firing (at t0: the one sample, no rhs call).  meta holds "interp" (the
+    dense_reader of the step records) and the counts "nfev" (stepping
+    calls only: scipy's less 3 per accepted step), "steps" and
+    "rejected".  A failed step controller, a non-finite f(t0, y0) or step
+    size raise IntegrationError with the valid part."""
     t, t_bound, y = _checked(t_span, y0, rtol)
     n = y.size
     K = np.empty((13, n))        # stage rows; row 12 is f at the step end
     KT = [K[:s].T for s in range(14)]
     ts, ys, steps, t_events = [t], [y], [], [[] for _ in events]
     g = [float(ev.fn(t, y)) for ev in events]
-    status, message, nfev, accepted, rejected = None, None, 1, 0, 0
+    status, message, nfev, accepted, rejected = None, None, 0, 0, 0
+    for ev, g0, tes in zip(events, g, t_events):
+        if g0 <= 0:
+            tes.append(t)
+            if ev.terminal:
+                status = 1
+                break
 
-    f = np.asarray(rhs(t, y.tolist()), dtype=float)
-    if np.isfinite(f).all():     # select_initial_step
+    f = np.asarray(rhs(t, y.tolist()), float) if status is None else None
+    if f is not None and np.isfinite(f).all():     # select_initial_step
         nfev = 2
         scale = atol + np.abs(y) * rtol
         d0, d1 = _norm(y / scale) / n ** 0.5, _norm(f / scale) / n ** 0.5
@@ -413,8 +420,8 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
         else:
             h1 = (0.01 / max(d1, d2)) ** 0.125
         h_abs = min(100 * h0, h1, t_bound - t)
-    else:
-        status, message = -1, "f(t0, y0) is not finite"
+    elif f is not None:
+        status, message, nfev = -1, "f(t0, y0) is not finite", 1
     while status is None:
         if not math.isfinite(h_abs):
             status, message = -1, "the step size is not finite"
@@ -454,10 +461,8 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
             status = 0
         if events:
             g_new = [float(ev.fn(t, y)) for ev in events]
-            active = [i for i, (ev, g0, g1)
-                      in enumerate(zip(events, g, g_new))
-                      if (g0 <= 0 <= g1 and ev.direction >= 0)
-                      or (g0 >= 0 >= g1 and ev.direction <= 0)]
+            active = [i for i, (g0, g1) in enumerate(zip(g, g_new))
+                      if g0 <= 0 <= g1 or g0 >= 0 >= g1]
             if active:
                 steps[-1] = _segment(rhs, *steps[-1])
                 sol = dense_reader(rhs, (t_old, t), steps[-1:])
@@ -478,8 +483,8 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
             ts.append(t)
             ys.append(y)
 
-    recorded = sorted(list(pre) + [(ev.kind, float(te)) for ev, tes
-                                   in zip(events, t_events) for te in tes],
+    recorded = sorted([(ev.kind, float(te)) for ev, tes
+                       in zip(events, t_events) for te in tes],
                       key=lambda e: e[1])
     meta = {"interp": dense_reader(rhs, ts, steps) if steps else None,
             "nfev": nfev + 12 * (accepted + rejected),
@@ -492,26 +497,10 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label, pre=()):
     return traj
 
 
-def integrate(rhs, t_span, y0, tol=1e-10, events=(), label=""):
-    """Adaptive high-order integration forward in t, with event recording.
-
-    Events are EventSpec instances; terminal ones stop the run.  An
-    event's fn is a margin: a value that is already non-positive at t0
-    records the event at t0, whatever its direction (a terminal one then
-    returns the one sample).  Failure of the step controller raises
-    IntegrationError with the valid part.  tol is the rtol (atol is
-    tol * 1e-3); below RTOL_FLOOR it is rejected.
-    """
-    t0, t1, y0 = _checked(t_span, y0, tol)
-    evs = list(events)
-    pre = []
-    for ev in evs:
-        if ev.fn(t0, y0) <= 0.0:
-            pre.append((ev.kind, t0))
-            if ev.terminal:
-                return Trajectory([t0], y0.reshape(-1, 1), pre, {
-                    "label": label, "nfev": 0, "steps": 0, "rejected": 0})
-    return _dop853(rhs, (t0, t1), y0, tol, tol * 1e-3, evs, label, pre)
+def integrate(rhs, t_span, y0, tol, events, label):
+    """_dop853 at rtol tol (at least RTOL_FLOOR) and atol tol * 1e-3, whose
+    one event rule and IntegrationError it keeps."""
+    return _dop853(rhs, t_span, y0, tol, tol * 1e-3, events, label)
 
 
 INVERT_AT = 1e2      # the |y|_inf where integrate_blowup turns to y/|y|^2
@@ -560,16 +549,16 @@ def integrate_blowup(rhs, t_span, y0, tol, events, label, threshold):
         if inverted:
             k = max(range(len(state)), key=lambda i: abs(state[i]))
             sign = math.copysign(1.0, state[k])
-            evs = [EventSpec("blow-up", margin, True, -1.0),
-                   EventSpec("_pole", lambda t, q: sign * q[k], True, -1.0),
+            evs = [EventSpec("blow-up", margin, True),
+                   EventSpec("_pole", lambda t, q: sign * q[k], True),
                    EventSpec("_switch", lambda t, q: 1.0 - (
-                       INVERT_AT / 10) ** 2 * q.dot(q), True, -1.0)] + [
+                       INVERT_AT / 10) ** 2 * q.dot(q), True)] + [
                 EventSpec(ev.kind, lambda t, q, fn=ev.fn: fn(t, np.array(
-                    _inverse(q.tolist()))), ev.terminal, ev.direction)
+                    _inverse(q.tolist()))), ev.terminal)
                 for ev in events]
         else:
             evs = [EventSpec("_switch", lambda t, z: INVERT_AT - max(
-                map(abs, z.tolist())), True, -1.0), *events]
+                map(abs, z.tolist())), True), *events]
         traj = integrate(field if inverted else rhs, (t, t_end), state, tol,
                          evs, label)
         for key in meta:
@@ -620,7 +609,7 @@ def solve_singular(ivp, eps=1e-2, t_end=1.0, order=8, tol=1e-10):
     def rhs(t, y):
         return [a / t + b for a, b in zip(ivp.M_minus1(y), ivp.M(t, y))]
 
-    traj = integrate(rhs, (eps, t_end), y_eps, tol=tol, label=ivp.label)
+    traj = integrate(rhs, (eps, t_end), y_eps, tol, (), ivp.label)
     dense = traj.meta.get("interp")
 
     def interp(t):

@@ -188,8 +188,7 @@ def make_bryant_salamon(r_max=60.0):
         return [0.5 * math.sqrt((3.0 + x * (3.0 + x)) / (1.0 + x) ** 3)]
 
     w_max = math.sqrt(r_max - 1.0)
-    hit = EventSpec("r_max", lambda t, y: y[0] - w_max, terminal=True,
-                    direction=1.0)
+    hit = EventSpec("r_max", lambda t, y: w_max - y[0], terminal=True)
     traj = _dop853(wrate, (0.0, r_max + 6.0), [0.0], 1e-13, 1e-14, [hit],
                    "bryant-salamon w")
     t_max = traj.event_times("r_max")[0]
@@ -604,7 +603,8 @@ def _spline_reader(ts, columns):
 
 def _three_rows(rows, name, size=None):
     """rows as three lists of finite floats, of length size if given."""
-    rows = [np.asarray(row, dtype=float) for row in rows]
+    rows = ([np.asarray(row, dtype=float) for row in rows]
+            if isinstance(rows, list) else [])
     if len(rows) != 3 or not all(r.ndim == 1 and size in (None, r.size)
                                  and np.all(np.isfinite(r)) for r in rows):
         raise ValueError("%s must be three rows of finite numbers%s" % (
@@ -626,14 +626,16 @@ def structure_from_json(doc):
     if not isinstance(doc["label"], str):
         raise ValueError("label must be a string")
     b2 = _finite("b2", doc["b2"])
-    a3, a5 = ([_finite(key, x) for x in doc[key] or ()]
-              for key in ("a3", "a5"))
+    a3, a5 = ([_finite(key, x) for x in doc[key]]
+              if isinstance(doc[key], list) else [] for key in ("a3", "a5"))
     if len(a3) != 3 or len(a5) != 3:
         raise ValueError("a3 and a5 must be three numbers each")
-    samples = doc["samples"]
-    if set(samples) != _SAMPLE_KEYS:
-        raise ValueError("sample keys must be %s, got %s"
-                         % (sorted(_SAMPLE_KEYS), sorted(samples)))
+    samples, series = doc["samples"], doc["series"]
+    for name, table, keys in (("samples", samples, _SAMPLE_KEYS),
+                              ("series", series, {"A", "B"})):
+        if not isinstance(table, dict) or set(table) != keys:
+            raise ValueError("%s must be an object with the keys %s"
+                             % (name, sorted(keys)))
     ts = np.asarray(samples["t"], dtype=float)
     if (ts.ndim != 1 or ts.size < 4 or ts[0] != 0.0
             or not np.all(np.diff(ts) > 0) or not math.isfinite(ts[-1])):
@@ -652,7 +654,7 @@ def structure_from_json(doc):
                      for i in range(3)] for k in (0, 3, 6, 9))
 
     A_series, B_series = ([PowerSeries(c, parity=parity) for c in _three_rows(
-        doc["series"][key], "series." + key)] for key, parity in (
+        series[key], "series." + key)] for key, parity in (
         ("A", "odd"), ("B", "even")))
     derived = [B_series[0][2]] + [p[k] for k in (3, 5) for p in A_series]
     for got, want in zip([b2] + a3 + a5, derived):

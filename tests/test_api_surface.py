@@ -23,9 +23,6 @@ SETTABLE = {
     ("instantons.theta_y0", "order"),
     ("instantons.theta_y0", "t_end"),
     ("instantons.theta_y0", "tol"),
-    ("singular_ivp.integrate", "events"),
-    ("singular_ivp.integrate", "label"),
-    ("singular_ivp.integrate", "tol"),
     ("singular_ivp.series_bootstrap", "check"),
     ("singular_ivp.series_bootstrap", "order"),
     ("singular_ivp.solve_singular", "eps"),

@@ -200,20 +200,41 @@ BAD_INPUT = {
     "scan-tol-below-floor": (["scan", "--family", "theta-y0", "--values",
                               "0.1,0.2", "--tol", "1e-30"], None,
                              "solver.tol"),
+    # a path of the wrong kind raised IsADirectoryError or FileExistsError
+    "config-is-a-directory": (["solve", "--config", "{tmp}"], None,
+                              "config file"),
+    "structure-is-a-directory": (["solve", "--structure", "{tmp}"], None,
+                                 "structure file"),
+    "structure-path-is-a-directory": (["structure", "--kind", "file",
+                                       "--path", "{tmp}"], None,
+                                      "structure file"),
+    "out-is-a-file": (["solve", "--out", "{tmp}/config.json"], {},
+                      "outputs.dir"),
+    # sample keys as a list passed the key-set check and raised TypeError
+    "structure-samples-not-an-object": (
+        ["structure", "--kind", "file", "--path", "{tmp}/config.json"],
+        {"label": "bad", "b0": 1.0, "b2": 0.0, "a3": [0.0] * 3,
+         "a5": [0.0] * 3, "samples": ["A", "B", "dA", "dB", "t"],
+         "series": {}, "t_max": 1.0}, "samples must be"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_input_exits_2(case, tmp_path, capsys):
+    # {tmp} in argv is tmp_path; a row that names the document's path
+    # itself does not also pass it as --config, nor --out if it has one
     argv, config, key = BAD_INPUT[case]
-    argv = list(argv)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
+        if str(path) not in argv:
+            argv += ["--config", str(path)]
     out = tmp_path / "out"
     out.mkdir()
-    assert main(argv + ["--out", str(out)]) == 2
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")

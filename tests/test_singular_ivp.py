@@ -97,7 +97,7 @@ def test_solve_singular_validates_window():
 def test_integrate_rejects_nonfinite_span(span):
     # an adaptive stepper never reaches an infinite or nan end
     with pytest.raises(ValueError, match="t_span must be finite"):
-        integrate(lambda t, y: [-y[0]], span, [1.0])
+        integrate(lambda t, y: [-y[0]], span, [1.0], 1e-10, (), "")
 
 
 @pytest.mark.parametrize("tol", [1e-30, math.nan])
@@ -107,8 +107,8 @@ def test_integrate_rejects_tol_below_floor(tol):
     prefired = EventSpec("region-exit", lambda t, y: -1.0, terminal=True)
     for events in ([], [prefired]):
         with pytest.raises(ValueError, match="finite-precision floor"):
-            integrate(lambda t, y: [1.0], (0.0, 1.0), [0.0], tol=tol,
-                      events=events)
+            integrate(lambda t, y: [1.0], (0.0, 1.0), [0.0], tol, events,
+                      "")
 
 
 def test_blowup_event_terminates():
@@ -174,7 +174,7 @@ def test_integrate_blowup_rejects_bad_threshold(threshold):
 @pytest.mark.parametrize("span", [(1.0, 0.0), (1.0, 1.0)])
 def test_solves_run_forward_only(span):
     with pytest.raises(ValueError, match="need t0 < t1"):
-        integrate(lambda t, y: [y[0]], span, [1.0])
+        integrate(lambda t, y: [y[0]], span, [1.0], 1e-10, (), "")
     with pytest.raises(ValueError, match="need t0 < t1"):
         _dop853(lambda t, y: [y[0]], span, [1.0], 1e-10, 1e-13, (), "")
 
@@ -187,22 +187,45 @@ def test_integrate_blowup_runs_forward_only():
 
 def test_region_exit_event_nonterminal():
     ev = EventSpec("region-exit", lambda t, y: 1.0 - y[0])
-    traj = integrate(lambda t, y: [1.0], (0.0, 3.0), [0.0], events=[ev])
+    traj = integrate(lambda t, y: [1.0], (0.0, 3.0), [0.0], 1e-10, [ev], "")
     assert traj.event_times("region-exit") == [pytest.approx(1.0, abs=1e-9)]
     assert traj.t[-1] == pytest.approx(3.0)
 
 
 def test_event_prefire_at_start():
     ev = EventSpec("region-exit", lambda t, y: -1.0, terminal=True)
-    traj = integrate(lambda t, y: [1.0], (0.5, 3.0), [0.0], events=[ev])
+    traj = integrate(lambda t, y: [1.0], (0.5, 3.0), [0.0], 1e-10, [ev], "")
     assert traj.events == [("region-exit", 0.5)]
     assert traj.t[-1] == 0.5
 
 
+def test_dop853_terminal_margin_not_positive_at_t0_stops_there():
+    # the stepper applies the rule itself: the one sample, no rhs call
+    def rhs(t, y):
+        raise AssertionError("rhs called")
+
+    for margin in (-1.0, 0.0):
+        ev = EventSpec("region-exit", lambda t, y, m=margin: m, terminal=True)
+        traj = _dop853(rhs, (0.5, 3.0), [2.0], 1e-10, 1e-13, [ev], "stop")
+        assert traj.events == [("region-exit", 0.5)]
+        assert traj.t.tolist() == [0.5] and traj.y.tolist() == [[2.0]]
+        assert traj.meta["nfev"] == traj.meta["steps"] == 0
+        assert traj.meta["interp"] is None
+
+
+def test_dop853_nonterminal_margin_not_positive_at_t0_records_and_runs():
+    ev = EventSpec("below", lambda t, y: -1.0)
+    traj = _dop853(lambda t, y: [1.0], (0.5, 3.0), [0.0], 1e-10, 1e-13,
+                   [ev], "run on")
+    assert traj.events == [("below", 0.5)]
+    assert traj.t[-1] == 3.0 and traj.meta["steps"] > 0
+    assert traj(3.0)[0] == pytest.approx(2.5, rel=1e-12)
+
+
 def test_integration_error_carries_partial_trajectory():
     with pytest.raises(IntegrationError) as exc:
-        integrate(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [10.0],
-                  tol=1e-10)
+        integrate(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [10.0], 1e-10,
+                  (), "")
     traj = exc.value.trajectory
     assert traj is not None
     assert traj.t[-1] < 0.11
@@ -210,7 +233,8 @@ def test_integration_error_carries_partial_trajectory():
 
 
 def test_dense_output_evaluation():
-    traj = integrate(lambda t, y: [2.0 * t], (0.0, 1.0), [0.0])
+    traj = integrate(lambda t, y: [2.0 * t], (0.0, 1.0), [0.0], 1e-10, (),
+                     "")
     assert traj(0.5)[0] == pytest.approx(0.25, rel=1e-9)
 
 
@@ -235,13 +259,13 @@ DOP853_CASES = {
     "6d-descending": (_coupled_rate, (3.0, 0.01), np.zeros(6), 1e-12,
                       1e-15, [], 0),
     "terminal-event": (_radial_rate, (0.0, 20.0), [0.0], 1e-13, 1e-14,
-                       [EventSpec("two", lambda t, y: y[0] - 2.0,
-                                  terminal=True, direction=1.0)], 1),
+                       [EventSpec("two", lambda t, y: 2.0 - y[0],
+                                  terminal=True)], 1),
     "nonterminal-event": (_oscillator, (0.0, 10.0), np.array([1.0, 0.0]),
                           1e-10, 1e-13,
                           [EventSpec("zero", lambda t, y: y[0]),
-                           EventSpec("falling", lambda t, y: y[1] - 0.5,
-                                     direction=-1.0)], 0),
+                           EventSpec("falling", lambda t, y: 0.5 - y[1])],
+                          0),
     "step-failure": (lambda t, y: [y[0] * y[0]], (0.0, 2.0), [10.0], 1e-10,
                      1e-13, [], -1),
 }
@@ -262,7 +286,7 @@ def _forward(rhs, span):
 def _scipy_event(ev):
     def g(t, y):
         return float(ev.fn(t, y))
-    g.terminal, g.direction = ev.terminal, ev.direction
+    g.terminal, g.direction = ev.terminal, 0
     return g
 
 
@@ -298,7 +322,7 @@ def test_dense_reader_bitwise_equal_to_scipy(case):
          in zip(events, sol.t_events or ()) for te in tes),
         key=lambda e: e[1])
     assert len(traj.events) == {"terminal-event": 1,
-                                "nonterminal-event": 4}.get(case, 0)
+                                "nonterminal-event": 6}.get(case, 0)
     read = traj.meta["interp"]
     lo, hi = sorted((sol.t[0], sol.t[-1]))
     rng = np.random.default_rng(11)
@@ -478,7 +502,7 @@ def test_nonfinite_start_raises_instead_of_hanging(rhs, y0, atol):
         assert exc.value.trajectory.t.tolist() == [0.0]
         if atol:
             with pytest.raises(IntegrationError, match="not finite"):
-                integrate(rhs, (0.0, 1.0), y0)
+                integrate(rhs, (0.0, 1.0), y0, 1e-10, (), "nan")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)

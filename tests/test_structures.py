@@ -337,7 +337,10 @@ NAN, INF = float("nan"), float("inf")
 # IndexError (exit 1), and 4 rows, 4 blocks or non-finite series
 # coefficients loaded; scipy's CubicSpline, which the loader used to
 # build, rejected the other cases, which stay rejected; a null b0, b2, t_max,
-# a3 or entry of a3 raised TypeError (exit 1), and a null label loaded
+# a3 or entry of a3 raised TypeError (exit 1), and a null label loaded;
+# a number for a3, a5 or a table, a list for samples or series and a
+# series block with no B raised TypeError or KeyError (exit 1), and an
+# extra series block loaded
 @pytest.mark.parametrize("change, key", [
     (lambda d: d["samples"]["A"].pop(), "samples.A"),
     (lambda d: d["samples"]["A"].append(d["samples"]["A"][0]), "samples.A"),
@@ -358,11 +361,19 @@ NAN, INF = float("nan"), float("inf")
     (lambda d: d.__setitem__("a3", None), "a3 and a5"),
     (lambda d: d["a3"].__setitem__(1, None), "a3"),
     (lambda d: d.__setitem__("label", None), "label"),
+    (lambda d: d.__setitem__("a3", 3.0), "a3 and a5"),
+    (lambda d: d.__setitem__("a5", 3), "a3 and a5"),
+    (lambda d: d.__setitem__("samples", sorted(d["samples"])), "samples"),
+    (lambda d: d.__setitem__("series", [d["series"]["A"]]), "series"),
+    (lambda d: d["series"].pop("B"), "series"),
+    (lambda d: d["series"].__setitem__("C", d["series"]["B"]), "series"),
+    (lambda d: d["samples"].__setitem__("A", 3), "samples.A"),
 ], ids=["table-two-rows", "table-four-rows", "series-two-blocks",
         "series-four-blocks", "series-nan", "series-inf", "t-nan",
         "t-end-inf", "A-nan", "A-null", "dA-nan", "dB-end-inf", "short-row",
         "b0-null", "b2-null", "t-max-null", "a3-null", "a3-entry-null",
-        "label-null"])
+        "label-null", "a3-number", "a5-number", "samples-key-list",
+        "series-list", "series-no-B", "series-extra-block", "A-number"])
 def test_json_rejects_malformed_tables(change, key, tmp_path):
     doc = structure_to_json(make_bryant_salamon(5.0), n_samples=41)
     bad = _tampered(doc, change)

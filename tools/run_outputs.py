@@ -70,6 +70,8 @@ CLI = [
     # a residual bound no solve meets: the exit-1 path
     ("verify-residual", ["verify", "--config", "../linear.json",
                          "--residual", "1e-30"]),
+    # a structure path that names a directory: the exit-2 path
+    ("solve-structure-not-a-file", ["solve", "--structure", ".."]),
 ]
 
 

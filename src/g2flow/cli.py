@@ -15,11 +15,13 @@ fixed seeds, 17-digit floats, \n line endings.
 """
 
 import argparse
+import ctypes
 import json
 import math
 import os
 import re
 import sys
+# not used here: perfbench/tracing.py patches this name (ROADMAP D step 1)
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -374,6 +376,20 @@ def _scan_point(s, block, solver, param, value):
             min(exits) if exits else nan, sup)
 
 
+_MEMBER_ARGS = None    # (s, block, solver, param), set in scan workers only
+
+
+def _scan_init(*args):
+    global _MEMBER_ARGS
+    _MEMBER_ARGS = args
+    # the worker ends with the scan's process, also one killed mid-scan
+    ctypes.CDLL(None).prctl(1, 9)        # Linux: PR_SET_PDEATHSIG, SIGKILL
+
+
+def _scan_member(value):
+    return _scan_point(*_MEMBER_ARGS, value)
+
+
 def cmd_scan(cfg, out):
     solver = cfg["solver"]
     block = cfg["family"]
@@ -382,10 +398,16 @@ def cmd_scan(cfg, out):
         raise ConfigError("no scan parameter for family %r" % block["kind"])
     values = _scan_values(block, cfg["outputs"]["grid"])
     s = build_structure(cfg["structure"])
-    # members hold the GIL: one worker; perfbench/tracing.py patches the pool
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        rows = list(pool.map(
-            lambda v: _scan_point(s, block, solver, param, v), values))
+    # pure-Python members: processes, not threads.  fork hands the workers
+    # the structure (closures: no pickling); chunks of 1 spread the costly
+    # blow-up members.  Imported here: it costs other commands 13-16 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(min(len(values), os.cpu_count() or 1),
+                             multiprocessing.get_context("fork"),
+                             initializer=_scan_init,
+                             initargs=(s, block, solver, param)) as pool:
+        rows = list(pool.map(_scan_member, values, chunksize=1))
     spath = out.path("scan.csv")
     with open(spath, "w", newline="\n") as fh:
         fh.write("param,exists_to_t_end,blowup_t,exit_t,sup_residual\n")

@@ -193,7 +193,8 @@ def series_handoff(ivp, eps, order):
 class EventSpec:
     """An event of a DOP853 solve: fn(t, y) is a margin, positive where
     the solve may run.  The event fires at t0 if the margin is not
-    positive there, and elsewhere where the margin changes sign."""
+    positive there, and elsewhere where a step takes it from nonzero to
+    zero or past it."""
     kind: str
     fn: object
     terminal: bool = False
@@ -384,14 +385,15 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label):
     method="DOP853", dense_output=True, events=...), with the same float
     operations in the same order.  rhs gets a float t and a list of floats
     y, an event's fn an ndarray y.  An EventSpec margin fires where it
-    changes sign, as a solve_ivp event of either sign does, and, the one
-    departure from solve_ivp, at t0 if it is not positive there; events
-    are recorded by time, and a terminal one stops the solve at its first
-    firing (at t0: the one sample, no rhs call).  meta holds "interp" (the
-    dense_reader of the step records) and the counts "nfev" (stepping
-    calls only: scipy's less 3 per accepted step), "steps" and
-    "rejected".  A failed step controller, a non-finite f(t0, y0) or step
-    size raise IntegrationError with the valid part."""
+    changes sign, as a solve_ivp event of either sign does, with two
+    departures from solve_ivp: it fires at t0 if it is not positive there,
+    and not in a step that starts where it is 0, which fired there
+    already; events are recorded by time, and a terminal one stops the
+    solve at its first firing (at t0: the one sample, no rhs call).  meta
+    holds "interp" (the dense_reader of the step records) and the counts
+    "nfev" (stepping calls only: scipy's less 3 per accepted step),
+    "steps" and "rejected".  A failed step controller, a non-finite
+    f(t0, y0) or step size raise IntegrationError with the valid part."""
     t, t_bound, y = _checked(t_span, y0, rtol)
     n = y.size
     K = np.empty((13, n))        # stage rows; row 12 is f at the step end
@@ -429,12 +431,14 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label):
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
+        yl = y.tolist()
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             K[0] = f
-            for s, a, c in _RK_STAGES:
-                K[s] = rhs(t + c * h, (y + KT[s].dot(a) * h).tolist())
+            for s, a, c in _RK_STAGES:     # y + K.a h with numpy's float ops
+                K[s] = rhs(t + c * h, [u + d * h for u, d in zip(
+                    yl, KT[s].dot(a).tolist())])
             y_new = y + h * KT[12].dot(_B)
             K[12] = f_new = np.asarray(rhs(t + h, y_new.tolist()), float)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -462,7 +466,7 @@ def _dop853(rhs, t_span, y0, rtol, atol, events, label):
         if events:
             g_new = [float(ev.fn(t, y)) for ev in events]
             active = [i for i, (g0, g1) in enumerate(zip(g, g_new))
-                      if g0 <= 0 <= g1 or g0 >= 0 >= g1]
+                      if g0 < 0 <= g1 or g0 > 0 >= g1]
             if active:
                 steps[-1] = _segment(rhs, *steps[-1])
                 sol = dense_reader(rhs, (t_old, t), steps[-1:])

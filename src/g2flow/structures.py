@@ -601,15 +601,26 @@ def _spline_reader(ts, columns):
     return dense_reader(None, ts, list(zip(ts, dx, zip(*cols))))
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _numbers(row):
+    """row as a list of finite floats; None unless it is a list of JSON
+    numbers, each finite as a float (an int past that range is not)."""
+    if isinstance(row, list) and all(type(x) in (int, float) for x in row):
+        row = [float(x) if abs(x) <= _FLOAT_MAX else math.inf
+               for x in row]
+        return row if all(map(math.isfinite, row)) else None
+
+
 def _three_rows(rows, name, size=None):
     """rows as three lists of finite floats, of length size if given."""
-    rows = ([np.asarray(row, dtype=float) for row in rows]
-            if isinstance(rows, list) else [])
-    if len(rows) != 3 or not all(r.ndim == 1 and size in (None, r.size)
-                                 and np.all(np.isfinite(r)) for r in rows):
+    rows = [_numbers(row) for row in rows] if isinstance(rows, list) else []
+    if len(rows) != 3 or not all(r is not None and size in (None, len(r))
+                                 for r in rows):
         raise ValueError("%s must be three rows of finite numbers%s" % (
             name, "" if size is None else ", each as long as samples.t"))
-    return [r.tolist() for r in rows]
+    return rows
 
 
 def structure_from_json(doc):
@@ -636,20 +647,20 @@ def structure_from_json(doc):
         if not isinstance(table, dict) or set(table) != keys:
             raise ValueError("%s must be an object with the keys %s"
                              % (name, sorted(keys)))
-    ts = np.asarray(samples["t"], dtype=float)
-    if (ts.ndim != 1 or ts.size < 4 or ts[0] != 0.0
-            or not np.all(np.diff(ts) > 0) or not math.isfinite(ts[-1])):
+    ts = _numbers(samples["t"])
+    if (ts is None or len(ts) < 4 or ts[0] != 0.0
+            or not all(a < b for a, b in zip(ts, ts[1:]))):
         raise ValueError("samples.t must be finite and increase strictly "
                          "from 0")
     t_max = _finite("t_max", doc["t_max"])
     if not 0 < t_max <= ts[-1] * (1 + 1e-12):
         raise ValueError("t_max must be positive and covered by samples")
-    av, bv, dav, dbv = (_three_rows(samples[key], "samples." + key, ts.size)
+    av, bv, dav, dbv = (_three_rows(samples[key], "samples." + key, len(ts))
                         for key in ("A", "B", "dA", "dB"))
     if any(x <= 0 for row in av for x in row[1:]) or min(map(min, bv)) <= 0:
         raise ValueError("A_i must be positive for t > 0 and B_i > 0")
     ends = [(d[0], d[-1]) for d in dav + dbv] + [None] * 6
-    read = _spline_reader(ts.tolist(), list(zip(av + bv + dav + dbv, ends)))
+    read = _spline_reader(ts, list(zip(av + bv + dav + dbv, ends)))
     A, B, dA, dB = ([lambda t, k=k + i: read(_in_range(t, t_max))[k]
                      for i in range(3)] for k in (0, 3, 6, 9))
 

@@ -90,6 +90,14 @@ def test_machine_records_blas_and_cpu_flags(monkeypatch):
         and all(type(v) is bool for v in got["cpu_flags"].values()))
 
 
+def test_machine_records_cpus_and_affinity(monkeypatch):
+    # the scan's worker count follows the CPUs, so both are recorded
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    got = bench_pairs.machine()
+    assert got["cpus"] == os.cpu_count()
+    assert got["affinity"] == 1
+
+
 def test_machine_records_the_openblas_kernel_that_runs():
     # OpenBLAS picks its kernel when it is loaded, so the setting only
     # shows in a fresh process; numpy's build string names the

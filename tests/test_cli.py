@@ -216,6 +216,14 @@ BAD_INPUT = {
         {"label": "bad", "b0": 1.0, "b2": 0.0, "a3": [0.0] * 3,
          "a5": [0.0] * 3, "samples": ["A", "B", "dA", "dB", "t"],
          "series": {}, "t_max": 1.0}, "samples must be"),
+    # an object for a sample row raised TypeError
+    "structure-sample-row-an-object": (
+        ["structure", "--kind", "file", "--path", "{tmp}/config.json"],
+        {"label": "bad", "b0": 1.0, "b2": 0.0, "a3": [0.0] * 3,
+         "a5": [0.0] * 3, "samples": {"t": [0.0, 1.0, 2.0, 3.0],
+                                      "A": [{}] * 3, "B": [], "dA": [],
+                                      "dB": []},
+         "series": {"A": [], "B": []}, "t_max": 1.0}, "samples.A must be"),
 }
 
 
@@ -440,21 +448,130 @@ def test_scan_empty_values_config_error(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-def test_scan_runs_on_one_worker(tmp_path, monkeypatch):
-    # the members hold the GIL, so the scan maps them on one worker and
-    # reads no thread-count setting from the environment
-    workers = []
+def _recording_scan_point(monkeypatch, pid_dir, fail_at=None):
+    """Wrap cli._scan_point: each call writes its process id to a file of
+    pid_dir named by the value, and fail_at raises RuntimeError."""
+    inner = cli._scan_point
 
-    class Recording(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            workers.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def point(s, block, solver, param, value):
+        (pid_dir / repr(value)).write_text(str(os.getpid()))
+        if value == fail_at:
+            raise RuntimeError("member %r failed" % value)
+        return inner(s, block, solver, param, value)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    pid_dir.mkdir()
+    monkeypatch.setattr(cli, "_scan_point", point)
+
+
+def test_scan_members_run_in_child_processes(tmp_path, monkeypatch):
+    # no thread-count setting is read from the environment; the pool has
+    # one worker per CPU, at most one per value, and none outlives main
+    import multiprocessing
+    _recording_scan_point(monkeypatch, tmp_path / "pids")
     monkeypatch.setenv("G2FLOW_THREADS", "abc")
-    assert main(["scan", "--family", "theta-x1", "--values", "1",
-                 "--out", str(tmp_path)]) == 0
-    assert workers == [1]
+    assert main(["scan", "--family", "theta-x1", "--values", "1,2,3",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert multiprocessing.active_children() == []
+    pids = {p.name: int(p.read_text()) for p in (tmp_path / "pids").iterdir()}
+    assert sorted(pids) == ["1.0", "2.0", "3.0"]
+    assert os.getpid() not in pids.values()
+    assert len(set(pids.values())) <= min(3, os.cpu_count())
+
+
+def test_scan_rows_equal_a_sequential_map(tmp_path):
+    # a theta-y0 grid on linear (b0 = 1) whose members outside |y0| < 1
+    # blow up; the rows keep the grid's order
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"structure": {"kind": "linear"}}))
+    argv = ["scan", "--config", str(cfg), "--family", "theta-y0",
+            "--values=-1.4,-0.5,0,0.3,0.5,1.2,2,-3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    conf = merged_config(build_parser().parse_args(argv))
+    s = cli.build_structure(conf["structure"])
+    rows = [cli._scan_point(s, conf["family"], conf["solver"], "y0", v)
+            for v in conf["family"]["values"]]
+    want = "param,exists_to_t_end,blowup_t,exit_t,sup_residual\n" + "".join(
+        "%.17g,%s,%.17g,%.17g,%.17g\n" % (value, "true" if exists else
+                                          "false", blow, exit_t, sup)
+        for value, exists, blow, exit_t, sup in rows)
+    assert (tmp_path / "scan.csv").read_text() == want
+    assert [r[1] for r in rows] == [False, True, True, True, True, False,
+                                    False, False]
+
+
+def test_scan_member_error_propagates_and_leaves_no_worker(tmp_path,
+                                                           monkeypatch):
+    # an error no row records ends the scan as it did on one worker: it
+    # reaches the caller, no scan.csv is left, and no worker remains; so
+    # too for a config error, raised before any worker starts
+    import multiprocessing
+    _recording_scan_point(monkeypatch, tmp_path / "pids", fail_at=2.0)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="member 2.0 failed"):
+        main(["scan", "--family", "theta-x1", "--values", "1,2,3",
+              "--out", str(out)])
+    assert multiprocessing.active_children() == []
+    assert list(out.iterdir()) == []
+    assert main(["scan", "--family", "theta-y0", "--values", "0.1",
+                 "--tol", "1e-30", "--out", str(out)]) == 2
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "pids" / "0.1").exists()
+
+
+_HANGING_SCAN = """
+import os, sys, time
+from g2flow import cli
+
+def point(*args):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(60)
+
+cli._scan_point = point
+cli.main(["scan", "--family", "theta-x1", "--values", "1,2", "--out",
+          os.path.join(sys.argv[1], "out")])
+"""
+
+
+def _ended(pid):
+    """Whether process pid is gone or a zombie, from /proc/PID/stat."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_scan_workers_end_with_a_killed_scan(tmp_path):
+    # a scan killed mid-member cannot shut its pool down; its workers, which
+    # would wait on the pool's queue for good, end with it
+    import signal
+    import time
+    src = os.path.dirname(os.path.dirname(g2flow.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", _HANGING_SCAN,
+                             str(tmp_path)], env=dict(os.environ,
+                                                      PYTHONPATH=src))
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while (len(workers) < min(2, os.cpu_count())
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+            workers = [int(p.name) for p in tmp_path.iterdir()
+                       if p.name.isdigit()]
+        assert len(workers) == min(2, os.cpu_count())
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while (not all(map(_ended, workers))
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert all(map(_ended, workers))
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        for pid in workers:
+            if not _ended(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_verify_linear_passes(tmp_path):

@@ -222,6 +222,33 @@ def test_dop853_nonterminal_margin_not_positive_at_t0_records_and_runs():
     assert traj(3.0)[0] == pytest.approx(2.5, rel=1e-12)
 
 
+def test_dop853_margin_zero_at_t0_is_recorded_once():
+    # the t0 rule records it; the first step's sign test, whose root is
+    # t0, recorded it again, and a margin that stays 0 at every step
+    ev = EventSpec("zero", lambda t, y: y[0])
+    for slope in (1.0, 0.0):
+        traj = _dop853(lambda t, y, m=slope: [m], (0, 1), [0.0], 1e-10,
+                       1e-13, [ev], "")
+        assert traj.events == [("zero", 0.0)]
+        assert traj.t[-1] == 1.0 and traj.meta["steps"] > 1
+
+
+def test_dop853_root_on_a_node_is_recorded_once():
+    # a margin that reaches 0 exactly at an interior node, and crosses or
+    # touches there: the step that ends at the node records it, the next
+    # one, which starts at 0, does not
+    def rhs(t, y):
+        return [math.cos(t)]
+
+    nodes = _dop853(rhs, (0.0, 3.0), [0.0], 1e-10, 1e-13, [], "").t
+    tn = float(nodes[3])
+    for margin in (lambda t, y: tn - t, lambda t, y: (t - tn) ** 2):
+        traj = _dop853(rhs, (0.0, 3.0), [0.0], 1e-10, 1e-13,
+                       [EventSpec("node", margin)], "")
+        assert traj.t.tolist() == nodes.tolist()
+        assert traj.events == [("node", tn)]
+
+
 def test_integration_error_carries_partial_trajectory():
     with pytest.raises(IntegrationError) as exc:
         integrate(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [10.0], 1e-10,

@@ -340,7 +340,8 @@ NAN, INF = float("nan"), float("inf")
 # a3 or entry of a3 raised TypeError (exit 1), and a null label loaded;
 # a number for a3, a5 or a table, a list for samples or series and a
 # series block with no B raised TypeError or KeyError (exit 1), and an
-# extra series block loaded
+# extra series block loaded; an object for a row or for samples.t raised
+# TypeError (exit 1), and an entry "0.5" or true loaded
 @pytest.mark.parametrize("change, key", [
     (lambda d: d["samples"]["A"].pop(), "samples.A"),
     (lambda d: d["samples"]["A"].append(d["samples"]["A"][0]), "samples.A"),
@@ -368,12 +369,19 @@ NAN, INF = float("nan"), float("inf")
     (lambda d: d["series"].pop("B"), "series"),
     (lambda d: d["series"].__setitem__("C", d["series"]["B"]), "series"),
     (lambda d: d["samples"].__setitem__("A", 3), "samples.A"),
+    (lambda d: d["samples"]["A"].__setitem__(0, {}), "samples.A"),
+    (lambda d: d["series"]["A"].__setitem__(0, {}), "series.A"),
+    (lambda d: d["samples"].__setitem__("t", {}), "samples.t"),
+    (lambda d: d["samples"]["A"][0].__setitem__(5, "0.5"), "samples.A"),
+    (lambda d: d["samples"]["A"][1].__setitem__(5, True), "samples.A"),
 ], ids=["table-two-rows", "table-four-rows", "series-two-blocks",
         "series-four-blocks", "series-nan", "series-inf", "t-nan",
         "t-end-inf", "A-nan", "A-null", "dA-nan", "dB-end-inf", "short-row",
         "b0-null", "b2-null", "t-max-null", "a3-null", "a3-entry-null",
         "label-null", "a3-number", "a5-number", "samples-key-list",
-        "series-list", "series-no-B", "series-extra-block", "A-number"])
+        "series-list", "series-no-B", "series-extra-block", "A-number",
+        "A-row-object", "series-row-object", "t-object", "A-string",
+        "A-bool"])
 def test_json_rejects_malformed_tables(change, key, tmp_path):
     doc = structure_to_json(make_bryant_salamon(5.0), n_samples=41)
     bad = _tampered(doc, change)

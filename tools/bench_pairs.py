@@ -14,10 +14,11 @@ changed (run.py itself writes its full result into the tree's
 the committed BENCH_*.json files:
 
     what      what was compared and how
-    machine   cpu count, the Python, numpy and scipy versions, numpy's
-              BLAS build, the OpenBLAS kernel that runs, OPENBLAS_CORETYPE
-              and whether /proc/cpuinfo lists the avx2, fma and avx512f
-              flags
+    machine   cpu count, which sets the scan's worker count, and how
+              many CPUs this process may run on; the Python, numpy and
+              scipy versions, numpy's BLAS build, the OpenBLAS kernel that
+              runs, OPENBLAS_CORETYPE and whether /proc/cpuinfo lists the
+              avx2, fma and avx512f flags
     trees     per side, the number of src/g2flow/*.py files and the
               sha256 of their sha256sum listing, so the file names the
               code it measured; `LC_ALL=C sha256sum src/g2flow/*.py |
@@ -174,7 +175,9 @@ def machine():
     import numpy
     import scipy
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"cpus": os.cpu_count(), "python": platform.python_version(),
+    return {"cpus": os.cpu_count(),
+            "affinity": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
             "blas": {key: blas.get(key) for key in (
                 "name", "version", "openblas configuration")},

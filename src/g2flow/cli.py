@@ -29,7 +29,8 @@ import numpy as np
 from ._series import PowerSeries
 from .instantons import (abelian_connection, flat_pid, residual_pointwise,
                          solution_to_csv, theta_x1, theta_y0, theta_zero)
-from .singular_ivp import RTOL_FLOOR, IntegrationError, PreconditionError
+from .singular_ivp import (RTOL_FLOOR, IntegrationError, PreconditionError,
+                           _float)
 from .structures import (load_structure, make_bryant_salamon,
                          make_linear_example, make_su23_structure,
                          save_structure)
@@ -67,19 +68,24 @@ def _canon(kind):
     return str(kind).replace("-", "_")
 
 
+def _number(v):
+    """A flag's string as a float, a JSON value as _float reads it."""
+    return float(v) if isinstance(v, str) else _float(v)
+
+
 def _real(v):
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValueError("must be finite, got %r" % v)
-    return v
+    f = _number(v)
+    if not math.isfinite(f):
+        raise ValueError("must be finite, got %r" % (v,))
+    return f
 
 
 def _positive(v, inf_ok=False):
-    v = float(v)
-    if not (v > 0 and (inf_ok or math.isfinite(v))):
+    f = _number(v)
+    if not (f > 0 and (inf_ok or math.isfinite(f))):
         raise ValueError("must be positive%s, got %r"
                          % ("" if inf_ok else " and finite", v))
-    return v
+    return f
 
 
 def _tolerance(v):
@@ -92,7 +98,7 @@ def _tolerance(v):
 
 def _integer(least):
     def conv(v):
-        f = float(v)
+        f = _number(v)
         if not (f.is_integer() and f >= least):
             raise ValueError("must be an integer >= %d, got %r" % (least, v))
         return int(f)
@@ -182,7 +188,7 @@ def _typed(block, keys, where):
     for key, val in block.items():
         try:
             out[key] = keys[key](val)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError("%s%s: %s" % (where, key, exc))
     return out
 

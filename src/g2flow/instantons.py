@@ -36,11 +36,11 @@ from .algebra import ConnectionCoeffs
 # malgrange_check, series_bootstrap and integrate stay importable from
 # this module: perfbench/tracing.py patches the layer entry points here
 # by name
-from .singular_ivp import (EventSpec, SingularIVP, _dop853, integrate,
+from .singular_ivp import (EventSpec, SingularIVP, _dop853, _finite,
+                           _finites, _float, _positive_finite, integrate,
                            integrate_blowup, malgrange_check,
                            series_bootstrap, series_handoff)
-from .structures import (CYC0, _RegularFn, _finite, _in_range,
-                         _positive_finite, coefficient_functions)
+from .structures import CYC0, _RegularFn, _in_range, coefficient_functions
 
 BLOWUP_THRESHOLD = 1e8
 SOLUTION_SERIES_CUTOFF = 1e-3
@@ -257,9 +257,9 @@ def theta_y0(s, y0, t_end=10.5, eps=1e-2, order=10, tol=1e-13):
     y0 = _finite("y0", y0)
     eps, tol = _positive_finite("eps", eps), _positive_finite("tol", tol)
     A1, B1 = s.A[0], s.B[0]
-    hi = min(float(t_end), s.t_max)
+    hi = min(_float(t_end), s.t_max)     # t_end may be +inf
     if not eps < hi:
-        raise ValueError("need eps < t_end <= t_max")
+        raise ValueError("t_end must be a number above eps, and so must t_max")
     ivp = su23_pid_ivp(s, y0)
     rep, series, (u_eps, v_eps), mismatch = series_handoff(ivp, eps,
                                                            order=order)
@@ -320,9 +320,7 @@ def p1_ivp(s, f1=(1.0, 1.0, 1.0)):
     (they differ in whether the quadratic term is halved) and which of
     them the engine confirms.
     """
-    f1 = tuple(float(x) for x in f1)
-    if len(f1) != 3 or not all(math.isfinite(x) for x in f1):
-        raise ValueError("f1 must be three finite numbers")
+    f1 = tuple(_finites("f1", f1, 3))
     cf = coefficient_functions(s)
     p1v, row = cf.phi1, cf.row
 
@@ -458,7 +456,7 @@ def pid_ivp(s, b0_minus, u2_0=0.0, u3_0=0.0):
 
 def flat_pid(s, sign=1):
     """Flat product connection f_i^+ = 1/A_i, f_i^- = sign/B_i."""
-    if sign not in (1, -1):
+    if _float(sign) not in (1, -1):
         raise ValueError("sign must be +1 or -1")
 
     def f6(t):
@@ -482,14 +480,11 @@ def abelian_connection(s, t0, aplus_t0, aminus_t0=(0.0, 0.0, 0.0)):
     valid on [1e-6, t_max].  Below t0 the integrals solve forward in -t.
     """
     lo, hi = 1e-6, s.t_max
-    t0 = float(t0)
+    t0 = _float(t0)
     if not lo < t0 < hi:
         raise ValueError("t0 must lie in (%g, t_max)" % lo)
-    ap0 = tuple(float(x) for x in aplus_t0)
-    am0 = tuple(float(x) for x in aminus_t0)
-    for name, v in (("aplus_t0", ap0), ("aminus_t0", am0)):
-        if len(v) != 3 or not all(math.isfinite(x) for x in v):
-            raise ValueError("%s must be three finite numbers" % name)
+    ap0 = tuple(_finites("aplus_t0", aplus_t0, 3))
+    am0 = tuple(_finites("aminus_t0", aminus_t0, 3))
     row = coefficient_functions(s).row
 
     def rhs(t, y):

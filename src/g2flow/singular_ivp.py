@@ -17,7 +17,6 @@ evaluated at the variable-t series ps_var(order).
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -28,6 +27,46 @@ from ._series import PowerSeries, ps_var
 # the integrator rejects any smaller rtol: rounding would swamp the error
 # estimate
 RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def _float(value):
+    """value as a float if it is a number, else nan: the package's one
+    rule for a number from outside.  A number is an int or float, numpy
+    scalars included, but no bool, and not an int past the float range."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and \
+            not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
+
+
+def _finite(name, value):
+    """value as a float; ValueError unless _float reads it as finite."""
+    value = _float(value)
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite and real" % name)
+    return value
+
+
+def _finites(name, values, size=None):
+    """values, a list, tuple or 1-d array (of size entries if given), as
+    a list of floats, each checked by _finite."""
+    flat = isinstance(values, (list, tuple)) or (
+        isinstance(values, np.ndarray) and values.ndim == 1)
+    if not (flat and size in (None, len(values))):
+        raise ValueError("%s must be %s finite numbers"
+                         % (name, "a list of" if size is None else size))
+    return [_finite(name, x) for x in values]
+
+
+def _positive_finite(name, value):
+    """value as a float; ValueError unless it is finite and positive."""
+    value = _finite(name, value)
+    if not value > 0:
+        raise ValueError("%s must be positive and finite" % name)
+    return value
 
 
 def dense_reader(rhs, ts, steps):
@@ -146,7 +185,7 @@ def series_bootstrap(ivp, order=8, check=None):
     with the coefficient extraction done by evaluating M_{-1} and M on
     the power series truncated at t^k, which is all c_k reads.
     """
-    if not (isinstance(order, numbers.Integral) and order >= 0):
+    if not (isinstance(order, (int, np.integer)) and _float(order) >= 0):
         raise ValueError("order must be an integer >= 0")
     rep = check if check is not None else malgrange_check(ivp)
     if not rep.gate_pass:
@@ -366,18 +405,15 @@ def _segment(rhs, t, h, y, y_new, stages):
 
 def _checked(t_span, y0, rtol):
     """(t0, t1, y0 as an array) of a DOP853 solve; ValueError for an rtol
-    below RTOL_FLOOR, a non-finite span, t1 <= t0 or a bad y0."""
+    below RTOL_FLOOR, a span or y0 not of finite numbers, or t1 <= t0."""
     if not rtol >= RTOL_FLOOR:
         raise ValueError("tol=%g is below %.3g, the finite-precision floor "
                          "of the integrator (100 machine epsilons)"
                          % (rtol, RTOL_FLOOR))
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError("t_span must be finite, got (%g, %g)" % (t0, t1))
-    y = np.asarray(y0, dtype=float)
-    if not (t0 < t1 and y.ndim == 1 and np.isfinite(y).all()):
-        raise ValueError("need t0 < t1 and a finite 1-d y0")
-    return t0, t1, y
+    t0, t1 = _finites("t_span", t_span, 2)
+    if not t0 < t1:
+        raise ValueError("need t0 < t1, got (%g, %g)" % (t0, t1))
+    return t0, t1, np.array(_finites("y0", y0))
 
 
 def _dop853(rhs, t_span, y0, rtol, atol, events, label):

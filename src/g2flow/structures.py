@@ -28,7 +28,8 @@ from functools import partial
 import numpy as np
 
 from ._series import PowerSeries, ps_const, ps_var
-from .singular_ivp import EventSpec, _dop853, dense_reader
+from .singular_ivp import (EventSpec, _dop853, _finite, _finites,
+                           _positive_finite, dense_reader)
 
 SERIES_ORDER = 26
 COEFF_SERIES_CUTOFF = 0.05
@@ -57,8 +58,8 @@ class StructureData:
         self.A_series = tuple(A_series)
         self.B_series = tuple(B_series)
         self.b0 = b0
-        self.b2 = float(b2)
-        self.t_max = float(t_max)
+        self.b2 = _finite("b2", b2)
+        self.t_max = _positive_finite("t_max", t_max)
         self.symmetric = bool(symmetric)
         self._cache = {}
         self._last = (None, None)
@@ -101,25 +102,6 @@ class StructureData:
     def __repr__(self):
         return "StructureData(%r, b0=%g, t_max=%g)" % (
             self.label, self.b0, self.t_max)
-
-
-def _positive_finite(name, value):
-    """value as a float; ValueError unless it is finite and positive."""
-    value = _finite(name, value)
-    if not value > 0:
-        raise ValueError("%s must be positive and finite" % name)
-    return value
-
-
-def _finite(name, value):
-    """value as a float; ValueError unless it is a finite number."""
-    try:
-        value = float(value)
-    except TypeError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError("%s must be finite" % name)
-    return value
 
 
 def _in_range(t, t_max):
@@ -178,7 +160,7 @@ def make_bryant_salamon(r_max=60.0):
     regular ODE solve, read through dense_reader once per t for all four
     evaluators.  t_max = t(r_max).
     """
-    if not (r_max > 1 and math.isfinite(r_max)):
+    if not _finite("r_max", r_max) > 1:
         raise ValueError("r_max must be finite and exceed 1")
     A_ps, B_ps = _bs_series(SERIES_ORDER)
     b0 = _INV_SQRT3
@@ -277,9 +259,7 @@ def make_su23_structure(A1, b0, t_max=None):
     user_a1, a1_series, user_da1 = A1
     if a1_series.parity != "odd" or abs(a1_series[1] - 0.5) > 1e-9:
         raise ValueError("A1 series must be odd with leading coefficient 1/2")
-    horizon = float(t_max if t_max is not None else 12.0)
-    if not math.isfinite(horizon) or horizon <= 0:
-        raise ValueError("t_max must be finite and positive")
+    horizon = _positive_finite("t_max", 12.0 if t_max is None else t_max)
 
     def a1(t):
         return user_a1(_in_range(t, horizon))
@@ -601,26 +581,11 @@ def _spline_reader(ts, columns):
     return dense_reader(None, ts, list(zip(ts, dx, zip(*cols))))
 
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _numbers(row):
-    """row as a list of finite floats; None unless it is a list of JSON
-    numbers, each finite as a float (an int past that range is not)."""
-    if isinstance(row, list) and all(type(x) in (int, float) for x in row):
-        row = [float(x) if abs(x) <= _FLOAT_MAX else math.inf
-               for x in row]
-        return row if all(map(math.isfinite, row)) else None
-
-
 def _three_rows(rows, name, size=None):
     """rows as three lists of finite floats, of length size if given."""
-    rows = [_numbers(row) for row in rows] if isinstance(rows, list) else []
-    if len(rows) != 3 or not all(r is not None and size in (None, len(r))
-                                 for r in rows):
-        raise ValueError("%s must be three rows of finite numbers%s" % (
-            name, "" if size is None else ", each as long as samples.t"))
-    return rows
+    if not (isinstance(rows, list) and len(rows) == 3):
+        raise ValueError("%s must be three rows of finite numbers" % name)
+    return [_finites(name, row, size) for row in rows]
 
 
 def structure_from_json(doc):
@@ -636,19 +601,18 @@ def structure_from_json(doc):
             raise ValueError("%s structure keys: %s" % (what, sorted(keys)))
     if not isinstance(doc["label"], str):
         raise ValueError("label must be a string")
-    b2 = _finite("b2", doc["b2"])
-    a3, a5 = ([_finite(key, x) for x in doc[key]]
-              if isinstance(doc[key], list) else [] for key in ("a3", "a5"))
-    if len(a3) != 3 or len(a5) != 3:
+    if not all(isinstance(doc[key], list) and len(doc[key]) == 3
+               for key in ("a3", "a5")):
         raise ValueError("a3 and a5 must be three numbers each")
+    a3, a5 = _finites("a3", doc["a3"]), _finites("a5", doc["a5"])
     samples, series = doc["samples"], doc["series"]
     for name, table, keys in (("samples", samples, _SAMPLE_KEYS),
                               ("series", series, {"A", "B"})):
         if not isinstance(table, dict) or set(table) != keys:
             raise ValueError("%s must be an object with the keys %s"
                              % (name, sorted(keys)))
-    ts = _numbers(samples["t"])
-    if (ts is None or len(ts) < 4 or ts[0] != 0.0
+    ts = _finites("samples.t", samples["t"])
+    if (len(ts) < 4 or ts[0] != 0.0
             or not all(a < b for a, b in zip(ts, ts[1:]))):
         raise ValueError("samples.t must be finite and increase strictly "
                          "from 0")
@@ -668,13 +632,14 @@ def structure_from_json(doc):
         series[key], "series." + key)] for key, parity in (
         ("A", "odd"), ("B", "even")))
     derived = [B_series[0][2]] + [p[k] for k in (3, 5) for p in A_series]
-    for got, want in zip([b2] + a3 + a5, derived):
-        if not abs(got - want) <= 1e-12 * max(1.0, abs(want)):
-            raise ValueError("b2, a3 and a5 must match the series block")
     same = all(b[0] == b[1] == b[2]
                for b in (A_series, B_series, av, bv, dav, dbv))
-    return StructureData(doc["label"], A, B, dA, dB, A_series, B_series,
-                         b0=doc["b0"], b2=b2, t_max=t_max, symmetric=same)
+    s = StructureData(doc["label"], A, B, dA, dB, A_series, B_series,
+                      b0=doc["b0"], b2=doc["b2"], t_max=t_max, symmetric=same)
+    for got, want in zip([s.b2] + a3 + a5, derived):
+        if not abs(got - want) <= 1e-12 * max(1.0, abs(want)):
+            raise ValueError("b2, a3 and a5 must match the series block")
+    return s
 
 
 def save_structure(s, path, n_samples=1201):

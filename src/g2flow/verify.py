@@ -17,7 +17,7 @@ from .algebra import (ConnectionCoeffs, Su2Vec, _direct_parts, _lemma2_parts,
                       random_rational_connection)
 from .instantons import (connection_at, flat_pid, p1_ivp, pid_ivp,
                          residual_pointwise, theta_x1, theta_y0, theta_zero)
-from .singular_ivp import malgrange_check
+from .singular_ivp import _finites, _positive_finite, malgrange_check
 from .structures import CYC0, coefficient_functions
 
 RESIDUAL_THRESHOLD = 1e-8
@@ -85,15 +85,13 @@ def _lstsq(design, rhs):
 def residual_report(s, sol, grid, threshold=None):
     """Defect of the six profile ODEs over a t grid, plus the bracket
     constraint; derivative estimated by difference stencils."""
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(_finites("grid", grid))
     lo, hi = sol.valid
     if threshold is None:
         threshold = RESIDUAL_THRESHOLD
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ValueError("residual grid must be positive and nonempty")
-    if grid.min() <= lo or grid.max() > hi * (1 + 1e-9):
-        raise ValueError("residual grid leaves the solution range (%g, %g]"
-                         % (lo, hi))
+    if not grid.size or grid.min() <= lo or grid.max() > hi * (1 + 1e-9):
+        raise ValueError("residual grid must be nonempty and inside the "
+                         "solution range (%g, %g]" % (lo, hi))
     res = np.array([residual_pointwise(s, sol, t) for t in grid])
     cons = max(constraint_value(connection_at(sol, t), s, t).norm_inf()
                for t in grid)
@@ -251,8 +249,7 @@ def bubbling_report(s, x1, lam):
     """
     if not s.symmetric:
         raise ValueError("rescaling limit needs a symmetric structure")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    lam = _positive_finite("lam", lam)
     grid = np.linspace(0.0, 1.0, 101)
     sol = theta_x1(s, x1)
     c_fit, fit_rel = _fit_leading_coefficient(sol, x1)

@@ -133,7 +133,7 @@ def test_rejects_nonfinite(case, lin, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("order", [-1, 2.5, 10.0])
+@pytest.mark.parametrize("order", [-1, 2.5, 10.0, True])
 def test_theta_y0_rejects_bad_order(lin, order):
     # series_bootstrap holds the check, for every caller
     ivp = su23_pid_ivp(lin, 0.5)
@@ -180,6 +180,12 @@ BAD_INPUT = {
     "order-fraction": (["solve"], {"solver": {"order": 2.5},
                                    "family": {"kind": "theta_y0"}},
                        "solver.order"),
+    # a JSON true is not the number 1
+    "x1-true": (["solve"], {"family": {"kind": "theta_x1", "x1": True}},
+                "family.x1"),
+    "order-true": (["solve"], {"solver": {"order": True},
+                               "family": {"kind": "theta_y0"}},
+                   "solver.order"),
     "abelian-t0-at-t-max": (["solve", "--family", "abelian", "--t0", "5.0"],
                             {"structure": {"kind": "linear", "t_max": 5.0}},
                             "t0"),

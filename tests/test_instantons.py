@@ -406,8 +406,9 @@ def test_abelian_over_a1_e_is_constant_bryant_salamon():
 def test_abelian_t0_lies_inside_the_profile_range(lin5):
     # t0 = t_max left an empty upward solve, which dense_reader refused
     # with a TypeError; t0 = 1e-6 left an empty downward one, and
-    # t0 = 5e-7 anchored the member below its validity interval
-    for t0 in (5.0, 6.0, 0.0, NAN, 1e-6, 5e-7):
+    # t0 = 5e-7 anchored the member below its validity interval; "1.0"
+    # was read as 1, and None raised TypeError
+    for t0 in (5.0, 6.0, 0.0, NAN, 1e-6, 5e-7, "1.0", None):
         with pytest.raises(ValueError,
                            match=r"t0 must lie in \(1e-06, t_max\)"):
             abelian_connection(lin5, t0, (1.0, 0.0, 0.0))
@@ -426,13 +427,24 @@ def test_abelian_t0_lies_inside_the_profile_range(lin5):
     (lambda s: abelian_connection(s, 1.0, (1.0, 0.0)), "aplus_t0"),
     (lambda s: abelian_connection(s, 1.0, (1.0, 0.0, 0.0), (1, 0, 0, 5)),
      "aminus_t0"),
+    (lambda s: p1_ivp(s, ("1", "1", "1")), "f1"),
+    (lambda s: pid_ivp(s, True), "b0_minus"),
+    (lambda s: abelian_connection(s, 1.0, (10 ** 400, 0, 0)), "aplus_t0"),
+    (lambda s: theta_x1(s, "2"), "x1"),
+    (lambda s: theta_x1(s, 10 ** 400), "x1"),
+    (lambda s: theta_y0(s, 0.5, t_end="3"), "t_end"),
+    (lambda s: flat_pid(s, True), "sign"),
 ], ids=["p1-nan", "p1-inf", "p1-two-entries", "pid-b0-minus-nan",
         "pid-u2-inf", "pid-u3-inf", "su23-pid-y0-inf",
-        "abelian-aplus-two-entries", "abelian-aminus-four-entries"])
+        "abelian-aplus-two-entries", "abelian-aminus-four-entries",
+        "p1-strings", "pid-b0-minus-bool", "abelian-aplus-overflow",
+        "theta-x1-string", "theta-x1-overflow", "theta-y0-t-end-string",
+        "flat-pid-sign-bool"])
 def test_singular_builders_reject_bad_arguments(lin5, build, name):
     # before, these built a problem with a non-finite y0, raised
     # IndexError, failed only in the Jacobian check, or (abelian) dropped
-    # a fourth entry
+    # a fourth entry; a string or a bool was read as the number it spells,
+    # None raised TypeError and 10**400 OverflowError
     with pytest.raises(ValueError, match="^%s must be" % name):
         build(lin5)
 

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import solve_ivp
 
 from g2flow import singular_ivp
@@ -93,11 +94,65 @@ def test_solve_singular_validates_window():
 
 
 @pytest.mark.parametrize("span", [(0.0, math.nan), (math.nan, 1.0),
-                                  (0.0, math.inf), (-math.inf, 1.0)])
+                                  (0.0, math.inf), (-math.inf, 1.0),
+                                  ("0", "1"), (0.0, 10 ** 400)])
 def test_integrate_rejects_nonfinite_span(span):
-    # an adaptive stepper never reaches an infinite or nan end
+    # an adaptive stepper never reaches an infinite or nan end; a string
+    # is no number, and an int past the float range is not finite
     with pytest.raises(ValueError, match="t_span must be finite"):
         integrate(lambda t, y: [-y[0]], span, [1.0], 1e-10, (), "")
+
+
+@pytest.mark.parametrize("y0", [["0"], [True], [10 ** 400], [[1.0]]])
+def test_integrate_takes_a_y0_of_finite_numbers(y0):
+    # before, "0" and true were read as 0 and 1, 10**400 raised
+    # OverflowError, and a nested list got the span-order message
+    with pytest.raises(ValueError, match="^y0 must be"):
+        integrate(lambda t, y: [-y[0]], (0.0, 1.0), y0, 1e-10, (), "")
+
+
+# an int is finite as a float below 2**1024 - 2**970, the midpoint of the
+# largest double and 2**1024, where rounding reaches 2**1024
+_ROUNDS_TO_INF = 2 ** 1024 - 2 ** 970
+_VALUES = st.one_of(
+    st.integers(), st.integers(-2 ** 1100, 2 ** 1100),
+    st.sampled_from([_ROUNDS_TO_INF, _ROUNDS_TO_INF - 1, -_ROUNDS_TO_INF,
+                     10 ** 400]),
+    st.floats(), st.booleans(), st.text(max_size=4), st.none(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_))
+
+
+def _finite_number(v):
+    if v is None or isinstance(v, (bool, np.bool_, str)):
+        return False
+    if isinstance(v, (int, np.integer)):
+        return abs(int(v)) < _ROUNDS_TO_INF
+    return math.isfinite(v)
+
+
+@given(_VALUES)
+def test_finite_takes_exactly_the_finite_ints_and_floats(value):
+    if _finite_number(value):
+        assert singular_ivp._finite("x1", value) == float(value)
+    else:
+        with pytest.raises(ValueError, match="^x1 .*finite"):
+            singular_ivp._finite("x1", value)
+
+
+@given(st.lists(_VALUES, max_size=4))
+def test_finites_takes_lists_of_finite_numbers(values):
+    n = len(values)
+    if all(map(_finite_number, values)):
+        want = [float(v) for v in values]
+        assert singular_ivp._finites("f1", values, n) == want
+        assert singular_ivp._finites("f1", tuple(values)) == want
+    else:
+        with pytest.raises(ValueError, match="^f1 .*finite"):
+            singular_ivp._finites("f1", values, n)
+    with pytest.raises(ValueError, match="^f1 .*finite"):
+        singular_ivp._finites("f1", values, n + 1)
 
 
 @pytest.mark.parametrize("tol", [1e-30, math.nan])

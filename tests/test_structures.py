@@ -341,7 +341,9 @@ NAN, INF = float("nan"), float("inf")
 # a number for a3, a5 or a table, a list for samples or series and a
 # series block with no B raised TypeError or KeyError (exit 1), and an
 # extra series block loaded; an object for a row or for samples.t raised
-# TypeError (exit 1), and an entry "0.5" or true loaded
+# TypeError (exit 1), and an entry "0.5" or true loaded; a numeric string
+# for t_max, b0 or an entry of a3 loaded, and 10**400 for t_max, b0 or b2
+# raised OverflowError (exit 1)
 @pytest.mark.parametrize("change, key", [
     (lambda d: d["samples"]["A"].pop(), "samples.A"),
     (lambda d: d["samples"]["A"].append(d["samples"]["A"][0]), "samples.A"),
@@ -374,6 +376,12 @@ NAN, INF = float("nan"), float("inf")
     (lambda d: d["samples"].__setitem__("t", {}), "samples.t"),
     (lambda d: d["samples"]["A"][0].__setitem__(5, "0.5"), "samples.A"),
     (lambda d: d["samples"]["A"][1].__setitem__(5, True), "samples.A"),
+    (lambda d: d.__setitem__("t_max", str(d["t_max"])), "t_max"),
+    (lambda d: d.__setitem__("b0", str(d["b0"])), "b0"),
+    (lambda d: d["a3"].__setitem__(2, str(d["a3"][2])), "a3"),
+    (lambda d: d.__setitem__("t_max", 10 ** 400), "t_max"),
+    (lambda d: d.__setitem__("b0", 10 ** 400), "b0"),
+    (lambda d: d.__setitem__("b2", 10 ** 400), "b2"),
 ], ids=["table-two-rows", "table-four-rows", "series-two-blocks",
         "series-four-blocks", "series-nan", "series-inf", "t-nan",
         "t-end-inf", "A-nan", "A-null", "dA-nan", "dB-end-inf", "short-row",
@@ -381,7 +389,8 @@ NAN, INF = float("nan"), float("inf")
         "label-null", "a3-number", "a5-number", "samples-key-list",
         "series-list", "series-no-B", "series-extra-block", "A-number",
         "A-row-object", "series-row-object", "t-object", "A-string",
-        "A-bool"])
+        "A-bool", "t-max-string", "b0-string", "a3-entry-string",
+        "t-max-overflow", "b0-overflow", "b2-overflow"])
 def test_json_rejects_malformed_tables(change, key, tmp_path):
     doc = structure_to_json(make_bryant_salamon(5.0), n_samples=41)
     bad = _tampered(doc, change)
@@ -470,6 +479,66 @@ def test_structure_rejects_nonpositive_b0():
 def test_bryant_salamon_r_max_validation():
     with pytest.raises(ValueError):
         make_bryant_salamon(r_max=1.0)
+
+
+def _su23_linear(t_max):
+    a1 = PowerSeries([0.0, 0.5], parity="odd")
+    return make_su23_structure((lambda t: 0.5 * t, a1, lambda t: 0.5), 1.0,
+                               t_max=t_max)
+
+
+def _restated(s, **change):
+    args = dict(label=s.label, A=s.A, B=s.B, dA=s.dA, dB=s.dB,
+                A_series=s.A_series, B_series=s.B_series, b0=s.b0, b2=s.b2,
+                t_max=s.t_max, symmetric=s.symmetric)
+    return StructureData(**dict(args, **change))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda lin: make_linear_example("1.0"), "b0"),
+    (lambda lin: make_linear_example(1.0, t_max=10 ** 400), "t_max"),
+    (lambda lin: _su23_linear("5"), "t_max"),
+    (lambda lin: make_bryant_salamon("5"), "r_max"),
+    (lambda lin: _restated(lin, t_max=NAN), "t_max"),
+    (lambda lin: _restated(lin, b2="0.125"), "b2"),
+], ids=["linear-b0-string", "linear-t-max-overflow", "su23-t-max-string",
+        "bs-r-max-string", "data-t-max-nan", "data-b2-string"])
+def test_structure_builders_take_finite_numbers(lin, build, name):
+    # before, a string was read as the number it spells, 10**400 raised
+    # OverflowError, "5" for r_max TypeError, and a nan t_max was stored
+    with pytest.raises(ValueError, match="^%s must be" % name):
+        build(lin)
+
+
+def test_bryant_salamon_against_its_hypergeometric_radius():
+    # t(r) = int_1^r ds / sqrt(1 - s^-3)
+    #      = r 2F1(-1/3, 1/2; 2/3; r^-3) - G(2/3) G(1/2) / G(1/6),
+    # at 40 digits; r = sqrt(3) B(t), A = (r/3) sqrt(1 - r^-3),
+    # dA = 1/3 + r^-3/6 and dB = sqrt(1 - r^-3)/sqrt(3).  Largest
+    # relative errors measured on 36 t in [0.1, t_max]: t 3.4e-13, A and
+    # dB 1.2e-14 (below t = 0.3, rounding of B near r = 1), dA 2.7e-16;
+    # t_max against t(60) 1.6e-14
+    import mpmath as mp
+
+    s = make_bryant_salamon(60.0)
+    with mp.workdps(40):
+        third = mp.mpf(1) / 3
+        shift = mp.gamma(2 * third) * mp.gamma(mp.mpf(1) / 2) / mp.gamma(
+            third / 2)
+
+        def t_of(r):
+            return r * mp.hyp2f1(-third, mp.mpf(1) / 2, 2 * third,
+                                 r ** -3) - shift
+
+        assert abs(t_of(mp.mpf(60)) / s.t_max - 1) <= 1e-13
+        for t in np.geomspace(0.1, s.t_max, 36).tolist():
+            (a, _, _), (b, _, _), (da, _, _), (db, _, _) = s.frame(t)
+            r = mp.sqrt(3) * mp.mpf(b)
+            root = mp.sqrt(1 - r ** -3)
+            assert abs(t_of(r) / t - 1) <= 2e-12, t
+            assert abs(a / (r / 3 * root) - 1) <= 1e-13, t
+            assert abs(da / (third + r ** -3 / 6) - 1) <= 2e-15, t
+            assert abs(db / (root / mp.sqrt(3)) - 1) <= 1e-13, t
 
 
 @pytest.mark.parametrize("build", ["bryant-salamon", "json", "su23",

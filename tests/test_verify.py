@@ -136,6 +136,15 @@ def test_residual_report_validates_grid(bs):
         residual_report(bs, sol, [bs.t_max * 2.0])
 
 
+@pytest.mark.parametrize("grid", [[0.5, float("nan")], ["0.5", "1.0"],
+                                  [0.5, True]])
+def test_residual_report_grid_takes_finite_numbers(bs, grid):
+    # before, nan was reported as "no stencil fits", and a string or a
+    # bool was read as the number it spells
+    with pytest.raises(ValueError, match="^grid must be"):
+        residual_report(bs, theta_x1(bs, 1.0), grid)
+
+
 def test_parity_report_families(bs):
     rep = parity_report(theta_x1(bs, 1.0))
     assert rep.passed

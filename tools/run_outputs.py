@@ -21,6 +21,15 @@ TREE = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = {
     "su23.json": {"structure": {"kind": "su23"}},
     "linear.json": {"structure": {"kind": "linear"}},
+    # a structure document that is valid but for b2, an integer past the
+    # float range (401 digits)
+    "b2-overflow.json": {
+        "label": "b2-overflow", "b0": 1.0, "b2": 10 ** 400,
+        "a3": [0.0] * 3, "a5": [0.0] * 3, "t_max": 3.0,
+        "samples": {"t": [0.0, 1.0, 2.0, 3.0],
+                    "A": [[0.0, 0.5, 1.0, 1.5]] * 3, "B": [[1.0] * 4] * 3,
+                    "dA": [[0.5] * 4] * 3, "dB": [[0.0] * 4] * 3},
+        "series": {"A": [[0.0, 0.5]] * 3, "B": [[1.0]] * 3}},
 }
 
 CLI = [
@@ -70,6 +79,9 @@ CLI = [
     # a residual bound no solve meets: the exit-1 path
     ("verify-residual", ["verify", "--config", "../linear.json",
                          "--residual", "1e-30"]),
+    # b2 is not a finite number: the exit-2 path of the loader
+    ("structure-file-b2-overflow", ["structure", "--kind", "file", "--path",
+                                    "../b2-overflow.json"]),
     # a structure path that names a directory: the exit-2 path
     ("solve-structure-not-a-file", ["solve", "--structure", ".."]),
 ]
